@@ -15,8 +15,8 @@ struct CapabilityProber::Session {
     net::Ipv4Address dst;
     std::size_t next_mode = 0;
     unsigned attempt = 0;  ///< retries already burned on the current mode
-    /// Seeded decorrelated-jitter stream for retry backoff (ISSUE 9);
-    /// empty when retry_jitter is off (legacy synchronized doubling).
+    /// Seeded decorrelated-jitter stream for retry backoff; empty when
+    /// the config allows no retries.
     std::optional<DecorrelatedBackoff> jitter;
     ProbeReport report;
     Callback done;
@@ -77,11 +77,8 @@ void CapabilityProber::probe(net::Ipv4Address correspondent, Callback done,
     s->report.correspondent = correspondent;
     s->done = std::move(done);
     s->apply_to_cache = apply_to_cache;
-    if (config_.retry_jitter && config_.retries_per_mode > 0) {
-        const std::uint64_t seed =
-            config_.retry_jitter_seed != 0
-                ? config_.retry_jitter_seed
-                : mix64(0x70726f62656a6974ull ^ mh_.home_address().value());
+    if (config_.retries_per_mode > 0) {
+        const std::uint64_t seed = mix64(0x70726f62656a6974ull ^ mh_.home_address().value());
         s->jitter.emplace(mix64(seed ^ correspondent.value()), config_.retry_backoff,
                           config_.retry_backoff * 8);
     }
@@ -168,13 +165,7 @@ void CapabilityProber::launch(std::shared_ptr<Session> s, OutMode mode,
                 // One lost echo is weak evidence during a loss burst: back
                 // off and try the same mode again before condemning it.
                 ++s->attempt;
-                sim::Duration delay;
-                if (s->jitter) {
-                    delay = s->jitter->next();
-                } else {
-                    delay = config_.retry_backoff;
-                    for (unsigned i = 1; i < s->attempt; ++i) delay *= 2;
-                }
+                const sim::Duration delay = s->jitter->next();
                 note(s->dst, "probe-retry",
                      "attempt=" + std::to_string(s->attempt) + "/" +
                          std::to_string(config_.retries_per_mode),

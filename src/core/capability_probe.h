@@ -28,15 +28,11 @@ struct ProbeConfig {
     /// doesn't misclassify a working mode as broken. 0 = single shot (the
     /// pre-fault-subsystem behaviour).
     unsigned retries_per_mode = 0;
-    /// Base delay before the first retry.
+    /// Base delay before the first retry. Retries use seeded decorrelated
+    /// jitter: each delay is drawn from [retry_backoff, 3 x previous),
+    /// capped at 8x the base, seeded from the host's home address, so a
+    /// fleet probing through the same loss burst doesn't re-synchronize.
     sim::Duration retry_backoff = sim::milliseconds(500);
-    /// Seeded decorrelated jitter on probe retries (ISSUE 9): each delay
-    /// is drawn from [retry_backoff, 3 x previous), capped at 8x the
-    /// base, so a fleet probing through the same loss burst doesn't
-    /// re-synchronize. false = the legacy synchronized doubling.
-    bool retry_jitter = true;
-    /// Jitter seed; 0 derives one from the host's home address.
-    std::uint64_t retry_jitter_seed = 0;
 };
 
 struct ProbeReport {

@@ -9,6 +9,14 @@ namespace mip::core {
 MobileHost::MobileHost(sim::Simulator& simulator, std::string name, MobileHostConfig config)
     : stack::Host(simulator, std::move(name)),
       config_(std::move(config)),
+      // Seeded from the home address, so a fleet built from one config
+      // template still de-correlates host by host.
+      client_({.base = config_.registration_retry,
+               .cap = config_.registration_backoff_cap,
+               .max_retries = config_.registration_max_retries,
+               .retry_budget = config_.registration_retry_budget,
+               .circuit_probe = config_.registration_circuit_probe},
+              mix64(0x6d68726567726574ull ^ config_.home_address.value())),
       encap_(tunnel::make_encapsulator(config_.encap_scheme)),
       method_cache_(config_.strategy ? std::move(config_.strategy)
                                      : std::make_unique<AggressiveFirstStrategy>(),
@@ -40,16 +48,6 @@ MobileHost::MobileHost(sim::Simulator& simulator, std::string name, MobileHostCo
 
     udp_ = std::make_unique<transport::UdpService>(stack());
     tcp_ = std::make_unique<transport::TcpService>(stack(), config_.tcp);
-
-    // Seeded decorrelated-jitter stream for registration retries: derive
-    // the default seed from the home address so a fleet built from one
-    // config template still de-correlates host by host (ISSUE 9).
-    const std::uint64_t jitter_seed =
-        config_.registration_jitter_seed != 0
-            ? config_.registration_jitter_seed
-            : mix64(0x6d68726567726574ull ^ config_.home_address.value());
-    jitter_.emplace(jitter_seed, config_.registration_retry,
-                    config_.registration_backoff_cap);
 
     // §7.1.2 delivery-failure signals. Outbound retransmissions reach the
     // policy through the per-packet FlowKey::retransmission flag (see
@@ -108,9 +106,9 @@ MobileHost::MobileHost(sim::Simulator& simulator, std::string name, MobileHostCo
         fa_waiting_advert_ = false;
         reg_dst_ = fa_addr_;
         reg_socket_->bind_address(config_.home_address);
-        send_registration(std::min<std::uint16_t>(config_.registration_lifetime,
-                                                  msg.agent_lifetime()),
-                          0, std::move(fa_done_));
+        start_registration(std::min<std::uint16_t>(config_.registration_lifetime,
+                                                   msg.agent_lifetime()),
+                           std::move(fa_done_));
         fa_done_ = {};
     });
 
@@ -158,36 +156,20 @@ void MobileHost::cancel_registration_timers() {
         simulator().cancel(expiry_timer_);
         expiry_timer_armed_ = false;
     }
-    registration_pending_ = false;
-    circuit_open_ = false;
-    jitter_->reset();
+    client_.reset();
 }
 
-sim::Duration MobileHost::retry_delay(unsigned attempt) {
-    if (config_.registration_jitter) {
-        return jitter_->next();
+stack::Interface& MobileHost::plug_into(sim::Link& link) {
+    if (physical_interface_ == stack::IpStack::kNoInterface) {
+        physical_interface_ = stack().add_interface(add_nic());
     }
-    // Legacy synchronized doubling (the bug the jitter fixes), kept for
-    // the ablation's protection-off leg and byte-compatibility studies.
-    sim::Duration delay = config_.registration_retry;
-    for (unsigned i = 0; i < attempt && delay < config_.registration_backoff_cap; ++i) {
-        delay *= 2;
+    stack::Interface& ifc = stack().iface(physical_interface_);
+    stack().deconfigure(physical_interface_);
+    if (ifc.nic() != nullptr) {
+        ifc.nic()->disconnect();
+        ifc.nic()->connect(link);
     }
-    return std::min(delay, config_.registration_backoff_cap);
-}
-
-sim::Duration MobileHost::circuit_probe_delay() {
-    // Base interval +-25%, drawn from a tagged stream off the same seed
-    // as the jitter ramp (monotone counter: deterministic, never reused).
-    const sim::Duration base = config_.registration_circuit_probe;
-    const std::uint64_t seed =
-        config_.registration_jitter_seed != 0
-            ? config_.registration_jitter_seed
-            : mix64(0x6d68726567726574ull ^ config_.home_address.value());
-    const std::uint64_t draw =
-        mix64(seed ^ (0x70726f6265ull + circuit_probe_draws_++));
-    const sim::Duration span = std::max<sim::Duration>(base / 2, 1);
-    return base * 3 / 4 + static_cast<sim::Duration>(draw % static_cast<std::uint64_t>(span));
+    return ifc;
 }
 
 void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> gateway) {
@@ -196,16 +178,7 @@ void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> ga
     const bool was_registered = registered_;
     const net::Ipv4Address old_care_of = care_of_;
 
-    if (physical_interface_ == stack::IpStack::kNoInterface) {
-        sim::Nic& n = add_nic();
-        physical_interface_ = stack().add_interface(n);
-    }
-    stack::Interface& ifc = stack().iface(physical_interface_);
-    stack().deconfigure(physical_interface_);
-    if (ifc.nic() != nullptr) {
-        ifc.nic()->disconnect();
-        ifc.nic()->connect(link);
-    }
+    stack::Interface& ifc = plug_into(link);
     stack().configure(physical_interface_, config_.home_address, config_.home_subnet);
     if (gateway) {
         stack().add_default_route(*gateway, physical_interface_);
@@ -232,7 +205,7 @@ void MobileHost::attach_home(sim::Link& link, std::optional<net::Ipv4Address> ga
         req.home_address = config_.home_address;
         req.home_agent = config_.home_agent;
         req.care_of_address = old_care_of;
-        req.id = next_registration_id_++;
+        req.id = client_.take_id();
         net::BufferWriter w;
         req.serialize(w, config_.registration_key);
         reg_socket_->bind_address(config_.home_address);
@@ -247,16 +220,7 @@ void MobileHost::attach_foreign(sim::Link& link, net::Ipv4Address care_of, net::
                                 RegistrationCallback done) {
     cancel_registration_timers();
 
-    if (physical_interface_ == stack::IpStack::kNoInterface) {
-        sim::Nic& n = add_nic();
-        physical_interface_ = stack().add_interface(n);
-    }
-    stack::Interface& ifc = stack().iface(physical_interface_);
-    stack().deconfigure(physical_interface_);
-    if (ifc.nic() != nullptr) {
-        ifc.nic()->disconnect();
-        ifc.nic()->connect(link);
-    }
+    plug_into(link);
     stack().configure(physical_interface_, care_of, subnet);
     if (gateway) {
         stack().add_default_route(*gateway, physical_interface_);
@@ -278,23 +242,14 @@ void MobileHost::attach_foreign(sim::Link& link, net::Ipv4Address care_of, net::
     // (paper §6.4).
     reg_dst_ = config_.home_agent;
     reg_socket_->bind_address(care_of_);
-    send_registration(config_.registration_lifetime, 0, std::move(done));
+    start_registration(config_.registration_lifetime, std::move(done));
     tcp_->notify_route_change();
 }
 
 void MobileHost::attach_via_foreign_agent(sim::Link& link, RegistrationCallback done) {
     cancel_registration_timers();
 
-    if (physical_interface_ == stack::IpStack::kNoInterface) {
-        sim::Nic& n = add_nic();
-        physical_interface_ = stack().add_interface(n);
-    }
-    stack::Interface& ifc = stack().iface(physical_interface_);
-    stack().deconfigure(physical_interface_);
-    if (ifc.nic() != nullptr) {
-        ifc.nic()->disconnect();
-        ifc.nic()->connect(link);
-    }
+    stack::Interface& ifc = plug_into(link);
     // No address of our own: we only answer ARP for the home address so
     // the agent (and Row C correspondents) can reach us on this segment.
     if (ifc.arp() != nullptr) {
@@ -339,29 +294,31 @@ void MobileHost::detach_current() {
 
 // ---- registration client -----------------------------------------------------
 
-void MobileHost::send_registration(std::uint16_t lifetime, unsigned attempt,
+void MobileHost::start_registration(std::uint16_t lifetime, RegistrationCallback done) {
+    // A refresh never gives up: the home agent being down is exactly when
+    // that would orphan the binding for good.
+    const auto kind = done ? RegistrationClient::Exchange::Attach
+                           : RegistrationClient::Exchange::Refresh;
+    send_registration(lifetime, client_.start(kind), std::move(done));
+}
+
+void MobileHost::send_registration(std::uint16_t lifetime,
+                                   const RegistrationClient::Decision& send,
                                    RegistrationCallback done) {
-    // An initial attach (one with a callback waiting on the outcome) gives
-    // up after max_retries. Background refreshes keep trying forever with
-    // capped exponential backoff — the home agent being down is exactly
-    // when giving up would orphan the binding permanently.
-    if (done && attempt >= config_.registration_max_retries) {
-        registration_pending_ = false;
+    if (send.action == RegistrationClient::Action::GiveUp) {
         done(false);
         return;
     }
-    registration_pending_ = true;
-    if (attempt == 0) jitter_->reset();  // fresh exchange: restart the ramp
-    if (attempt > 0) ++stats_.registration_backoffs;
-    if (circuit_open_) ++stats_.registration_circuit_probes;
+    if (send.action != RegistrationClient::Action::Send) return;
+    if (send.attempt > 0) ++stats_.registration_backoffs;
+    if (send.parked) ++stats_.registration_circuit_probes;
 
     RegistrationRequest req;
     req.lifetime = lifetime;
     req.home_address = config_.home_address;
     req.home_agent = config_.home_agent;
     req.care_of_address = care_of_;
-    req.id = next_registration_id_++;
-    expected_reply_id_ = req.id;
+    req.id = send.id;
 
     reg_socket_->set_receiver([this, done](std::span<const std::uint8_t> data,
                                            const transport::RxMeta&) {
@@ -375,33 +332,15 @@ void MobileHost::send_registration(std::uint16_t lifetime, unsigned attempt,
     const net::Ipv4Address dst = reg_dst_.is_unspecified() ? config_.home_agent : reg_dst_;
     reg_socket_->send_to(dst, net::ports::kMobileIpRegistration, w.take());
 
-    // Cap the attempt counter once the backoff has saturated, so an
-    // indefinitely retrying refresh can't overflow it.
-    const unsigned next_attempt = std::min(attempt + 1, 16u);
-
-    // Backoff with seeded decorrelated jitter (or the legacy doubling).
-    // A background refresh that has burned its retry budget opens the
-    // circuit instead: park, and probe at a slow jittered interval — the
-    // recovering agent meets a trickle, not the whole orphaned fleet.
-    sim::Duration delay;
-    if (!done && config_.registration_retry_budget > 0 &&
-        next_attempt > config_.registration_retry_budget) {
-        if (!circuit_open_) {
-            circuit_open_ = true;
-            ++stats_.registration_circuit_opens;
-        }
-        delay = circuit_probe_delay();
-    } else {
-        delay = retry_delay(attempt);
-    }
-
+    // The retry delay is drawn at send time: the host's seeded streams
+    // (and the goldens built on them) depend on that order.
+    const RegistrationClient::Decision wait = client_.backoff(send.id);
+    if (wait.circuit_opened) ++stats_.registration_circuit_opens;
     registration_timer_ = simulator().schedule_in(
-        delay,
-        [this, lifetime, next_attempt, done]() mutable {
+        wait.delay,
+        [this, lifetime, id = send.id, done]() mutable {
             registration_timer_armed_ = false;
-            if (registration_pending_ && !at_home_) {
-                send_registration(lifetime, next_attempt, std::move(done));
-            }
+            if (!at_home_) send_registration(lifetime, client_.retry(id), std::move(done));
         },
         "mip-registration-retry");
     registration_timer_armed_ = true;
@@ -419,10 +358,10 @@ void MobileHost::on_registration_reply(std::span<const std::uint8_t> data,
     if (!RegistrationRequest::authenticate(data, config_.registration_key)) {
         return;  // forged or mis-keyed reply: ignore, keep retrying
     }
-    if (reply.id != expected_reply_id_ || reply.home_address != config_.home_address) {
+    if (reply.home_address != config_.home_address ||
+        !client_.reply(reply.id, /*served=*/reply.accepted() && reply.lifetime > 0)) {
         return;
     }
-    registration_pending_ = false;
     if (registration_timer_armed_) {
         simulator().cancel(registration_timer_);
         registration_timer_armed_ = false;
@@ -433,8 +372,6 @@ void MobileHost::on_registration_reply(std::span<const std::uint8_t> data,
     }
     if (reply.lifetime > 0) {
         registered_ = true;
-        circuit_open_ = false;  // the agent answered: close the circuit
-        jitter_->reset();
         arm_binding_expiry(reply.lifetime);
         schedule_reregistration(reply.lifetime);
         if (done) done(true);
@@ -471,7 +408,7 @@ void MobileHost::schedule_reregistration(std::uint16_t granted_lifetime) {
             rereg_timer_armed_ = false;
             if (!at_home_ && physical_interface_ != stack::IpStack::kNoInterface &&
                 !care_of_.is_unspecified()) {
-                send_registration(config_.registration_lifetime, 0, {});
+                start_registration(config_.registration_lifetime, {});
             }
         },
         "mip-reregistration");

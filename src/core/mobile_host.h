@@ -12,8 +12,8 @@
 #include <memory>
 #include <set>
 
-#include "core/overload.h"
 #include "core/registration.h"
+#include "core/registration_client.h"
 #include "core/selection.h"
 #include "dns/resolver.h"
 #include "stack/host.h"
@@ -50,40 +50,23 @@ struct MobileHostConfig {
     std::uint64_t registration_key = 0;
 
     std::uint16_t registration_lifetime = 300;  ///< seconds requested
+    // The RegistrationClient's policy. Retry delays are seeded decorrelated
+    // jitter from [registration_retry, 3 x previous), capped at
+    // registration_backoff_cap — so hosts orphaned by one agent crash
+    // neither retry in lockstep nor stop probing until the agent returns.
     sim::Duration registration_retry = sim::milliseconds(500);
-    unsigned registration_max_retries = 10;
-    /// Retries back off up to this cap — so a mobile host orphaned by a
-    /// home-agent crash keeps probing at a polite rate until the agent
-    /// returns.
+    unsigned registration_max_retries = 10;  ///< initial attaches give up after this
     sim::Duration registration_backoff_cap = sim::seconds(8);
-
-    /// Deterministic seeded decorrelated jitter on the retry backoff
-    /// (ISSUE 9). The synchronized-retry bug: plain doubling makes every
-    /// host orphaned by the same crash retry at identical offsets, so the
-    /// whole population hammers the recovering agent in lockstep. With
-    /// jitter each delay is drawn uniformly from [retry, 3 x previous)
-    /// (capped), seeded per host — byte-identical per seed, at any sweep
-    /// --jobs. false = the legacy synchronized doubling.
-    bool registration_jitter = true;
-    /// Jitter stream seed; 0 derives one from the home address, so a
-    /// fleet sharing a config still de-correlates host by host.
-    std::uint64_t registration_jitter_seed = 0;
-
-    /// Retry budget for background refreshes (ISSUE 9): after this many
-    /// consecutive unanswered retries the host opens its registration
-    /// circuit — it parks and probes at ~registration_circuit_probe
-    /// intervals instead of retrying on the backoff ramp forever. A
-    /// successful reply closes the circuit. 0 = no budget (retry forever,
-    /// the historical behaviour). Initial attaches are unaffected (they
-    /// give up after registration_max_retries as before).
+    /// Retry budget for background refreshes: after this many unanswered
+    /// retries the host opens its registration circuit and parks, probing
+    /// every registration_circuit_probe +-25%, until a reply closes it.
+    /// 0 = no budget (retry forever). Initial attaches are unaffected.
     unsigned registration_retry_budget = 0;
-    /// Park-and-probe re-arm interval while the circuit is open; each
-    /// probe is jittered to +-25% so parked fleets stay de-correlated.
     sim::Duration registration_circuit_probe = sim::seconds(8);
 
     /// Parameters for the host's TCP service (timeouts matter to how fast
     /// the §7.1.2 failure signals arrive).
-    transport::TcpConfig tcp;
+    transport::Config tcp;
 };
 
 class MobileHost final : public stack::Host, private stack::RouteResolver {
@@ -127,7 +110,7 @@ public:
     /// probing (CapabilityProber) is suppressed in this state — the
     /// control plane is the thing that is down, so adding probe traffic
     /// to it only feeds the storm.
-    bool registration_circuit_open() const noexcept { return circuit_open_; }
+    bool registration_circuit_open() const noexcept { return client_.circuit_open(); }
     net::Ipv4Address home_address() const noexcept { return config_.home_address; }
     net::Ipv4Address care_of_address() const noexcept { return care_of_; }
 
@@ -182,7 +165,13 @@ private:
 
     void send_tunneled(net::Packet inner, net::Ipv4Address outer_dst);
     void on_decap_packet(const net::Packet& outer, const tunnel::Encapsulator& decap);
-    void send_registration(std::uint16_t lifetime, unsigned attempt, RegistrationCallback done);
+    /// Opens a registration exchange: an Attach when @p done waits on the
+    /// outcome, a background Refresh otherwise.
+    void start_registration(std::uint16_t lifetime, RegistrationCallback done);
+    /// Carries out one client decision from start() or retry(): sends the
+    /// request and arms the retry timer, or reports a give-up.
+    void send_registration(std::uint16_t lifetime, const RegistrationClient::Decision& send,
+                           RegistrationCallback done);
     void on_registration_reply(std::span<const std::uint8_t> data, RegistrationCallback& done);
     void schedule_reregistration(std::uint16_t granted_lifetime);
     /// Tracks the granted lifetime locally: when it lapses without a
@@ -193,14 +182,13 @@ private:
     /// Cancels the retry/refresh/expiry timers and abandons any pending
     /// registration (every attach/detach transition starts from here).
     void cancel_registration_timers();
-    /// Next retry delay for @p attempt: the seeded decorrelated-jitter
-    /// stream when registration_jitter is on, the legacy synchronized
-    /// doubling otherwise.
-    sim::Duration retry_delay(unsigned attempt);
-    /// Jittered park-and-probe interval while the circuit is open.
-    sim::Duration circuit_probe_delay();
+    /// Moves the physical interface (created on first use) onto @p link,
+    /// unconfigured.
+    stack::Interface& plug_into(sim::Link& link);
 
     MobileHostConfig config_;
+    /// Every retry, backoff, budget, circuit and stale-reply decision.
+    RegistrationClient client_;
     std::unique_ptr<tunnel::Encapsulator> encap_;
     std::vector<std::unique_ptr<tunnel::Encapsulator>> decapsulators_;
     DeliveryMethodCache method_cache_;
@@ -222,22 +210,10 @@ private:
     net::Ipv4Address reg_dst_;      ///< where registration requests go (HA or FA)
     RegistrationCallback fa_done_;  ///< pending callback while soliciting
     net::Ipv4Address care_of_;
-    std::uint64_t next_registration_id_ = 1;
-    std::uint64_t expected_reply_id_ = 0;
     sim::EventId registration_timer_ = 0;
     bool registration_timer_armed_ = false;
     sim::EventId rereg_timer_ = 0;
     bool rereg_timer_armed_ = false;
-    /// A registration exchange (initial or refresh) is in flight and
-    /// unanswered — the retry loop keys off this, not off registered_,
-    /// because a refresh runs while registered_ is still true.
-    bool registration_pending_ = false;
-    /// Seeded decorrelated-jitter stream for retry backoff (ISSUE 9).
-    std::optional<DecorrelatedBackoff> jitter_;
-    /// Monotone draw counter for circuit-probe jitter (shares the seed
-    /// with jitter_ but is a distinct tagged stream).
-    std::uint64_t circuit_probe_draws_ = 0;
-    bool circuit_open_ = false;
     sim::TimePoint binding_expires_ = 0;
     sim::EventId expiry_timer_ = 0;
     bool expiry_timer_armed_ = false;

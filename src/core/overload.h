@@ -31,6 +31,7 @@
 #include <functional>
 #include <string>
 
+#include "sim/mix.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -42,15 +43,7 @@ class HealthMonitor;
 
 namespace mip::core {
 
-/// splitmix64 finalizer: the same cheap avalanche mix the mobility seeds
-/// use. Pure, stateless — the determinism contract (DESIGN §10) leans on
-/// every "random" draw being a function of values like this.
-inline std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+using sim::mix64;
 
 /// Deterministic seeded decorrelated jitter (the "decorrelated jitter"
 /// variant of exponential backoff): each delay is drawn uniformly from

@@ -59,12 +59,12 @@ CitySim::CitySim(CityConfig config)
         registry_.register_gauge(node, "metro", "bindings",
                                  [t = &tables_[a]] { return static_cast<double>(t->size()); });
     }
-    if (config_.overload.enabled) {
+    if (const CityOverloadConfig& ov = config_.overload; ov.enabled) {
         // One bounded queue per home agent. The unprotected ablation leg
         // keeps the same finite service rate but loses the bound and the
         // admission bucket — that is the whole experiment.
-        core::OverloadConfig qc = config_.overload.agent;
-        if (!config_.overload.protection) {
+        core::OverloadConfig qc = ov.agent;
+        if (!ov.protection) {
             qc.queue_capacity = 0;
             qc.new_tokens_per_sec = 0.0;
         }
@@ -76,7 +76,18 @@ CitySim::CitySim(CityConfig config)
             q->set_decision_log(&decisions_, node);
             queues_.push_back(std::move(q));
         }
-        clients_.resize(pop_.hosts().size());
+        // Every exchange is a Refresh, so max_retries never applies. The
+        // collapse leg's clients have no budget and double in lockstep.
+        const core::RetryPolicy policy{.base = ov.reply_timeout,
+                                       .cap = ov.retry_cap,
+                                       .retry_budget = ov.protection ? ov.retry_budget : 0,
+                                       .circuit_probe = ov.circuit_probe,
+                                       .jitter = ov.protection};
+        clients_.reserve(pop_.hosts().size());
+        for (const MetroHost* host : pop_.hosts()) {
+            clients_.emplace_back(policy, sim::mix64(config_.population.seed ^ kRetryTag ^
+                                                     (static_cast<std::uint64_t>(host->index) << 20)));
+        }
         ov_retries_ = &registry_.counter("city", "overload", "retries");
         ov_timeouts_ = &registry_.counter("city", "overload", "timeouts");
         ov_circuit_opens_ = &registry_.counter("city", "overload", "circuit_opens");
@@ -97,7 +108,7 @@ CitySim::CitySim(CityConfig config)
 CitySim::~CitySim() = default;
 
 sim::Duration CitySim::member_jitter(std::size_t host_index, std::uint32_t epoch) const {
-    const std::uint64_t m = mobility::mix_seed(
+    const std::uint64_t m = sim::mix64(
         config_.population.seed ^ kJitterTag ^ (static_cast<std::uint64_t>(host_index) << 20) ^
         (static_cast<std::uint64_t>(epoch) << 44));
     return static_cast<sim::Duration>(m % 1'000'000);  // < 1 ms
@@ -139,22 +150,28 @@ void CitySim::sample_host(MetroHost* host) {
                      "city-sample");
 }
 
+sim::Duration CitySim::one_way_latency(const MetroHost* host, bool observe) {
+    const int hops = topo_.hop_count(static_cast<std::size_t>(host->cell),
+                                     topo_.home_agent_cell(host->home_agent));
+    const sim::Duration latency = config_.reg_base_latency + hops * config_.reg_hop_latency +
+                                  member_jitter(host->index, host->epoch);
+    if (observe) {
+        reg_hops_->observe(static_cast<double>(hops));
+        reg_latency_->observe(static_cast<double>(latency));
+    }
+    return latency;
+}
+
 void CitySim::begin_registration(MetroHost* host, bool renewal) {
+    ++host->epoch;  // any in-flight completion for an older epoch is now stale
     if (config_.overload.enabled) {
-        client_start(host, renewal, /*attempt=*/0);
+        send_request(host, renewal,
+                     clients_[host->index].start(core::RegistrationClient::Exchange::Refresh));
         return;
     }
-    ++host->epoch;  // any in-flight completion for an older epoch is now stale
     const std::uint32_t epoch = host->epoch;
     const std::int32_t cell = host->cell;
-    const int hops =
-        topo_.hop_count(static_cast<std::size_t>(cell), topo_.home_agent_cell(host->home_agent));
-    const sim::Duration latency = config_.reg_base_latency +
-                                  hops * config_.reg_hop_latency +
-                                  member_jitter(host->index, epoch);
-    reg_hops_->observe(static_cast<double>(hops));
-    reg_latency_->observe(static_cast<double>(latency));
-    sim_.schedule_in(latency,
+    sim_.schedule_in(one_way_latency(host, /*observe=*/true),
                      [this, host, epoch, cell, renewal] {
                          finish_registration(host, epoch, cell, renewal);
                      },
@@ -185,31 +202,18 @@ void CitySim::finish_registration(MetroHost* host, std::uint32_t epoch,
 // replaced by a full request/reply loop: the request takes the same
 // hop-proportional latency to reach the home agent, queues in that
 // agent's RegistrationQueue (where it can be shed), and the reply takes
-// the latency back. The client keeps a per-host reply timeout; losses —
-// shed requests, flap-wiped state — surface as timeouts and drive the
-// retry policy under ablation: seeded decorrelated jitter plus a retry
-// budget opening a park-and-probe circuit (protection on), or
-// synchronized exponential doubling forever (protection off).
+// the latency back. Losses — shed requests, flap-wiped state — surface as
+// reply timeouts; each host's core::RegistrationClient decides every
+// retry, and this engine only models the wire.
 
-void CitySim::client_start(MetroHost* host, bool renewal, std::uint32_t attempt) {
-    if (host->cell < 0) return;
-    ClientState& c = clients_[host->index];
-    if (attempt == 0) {
-        ++host->epoch;     // supersede any in-flight exchange
-        c.prev_delay = 0;  // fresh exchange: the jitter ramp restarts
-    }
+void CitySim::send_request(MetroHost* host, bool renewal,
+                           const core::RegistrationClient::Decision& send) {
+    if (send.action != core::RegistrationClient::Action::Send) return;
+    if (send.parked) ov_circuit_probes_->add();
     const std::uint32_t epoch = host->epoch;
     const std::int32_t cell = host->cell;
-    const int hops = topo_.hop_count(static_cast<std::size_t>(cell),
-                                     topo_.home_agent_cell(host->home_agent));
-    const sim::Duration latency = config_.reg_base_latency +
-                                  hops * config_.reg_hop_latency +
-                                  member_jitter(host->index, epoch);
-    reg_hops_->observe(static_cast<double>(hops));
-    reg_latency_->observe(static_cast<double>(latency));
-    c.pending = true;
-    const std::uint64_t xid = ++c.last_xid;
-    if (c.circuit_open) ov_circuit_probes_->add();
+    const std::uint64_t xid = send.id;
+    const sim::Duration latency = one_way_latency(host, /*observe=*/true);
     sim_.schedule_in(latency,
                      [this, host, epoch, cell, renewal, xid] {
                          server_arrival(host, epoch, cell, renewal, xid);
@@ -219,9 +223,7 @@ void CitySim::client_start(MetroHost* host, bool renewal, std::uint32_t attempt)
     // a request stuck deeper than reply_timeout is retried even though it
     // may still be served (the duplicate converges via the xid guard).
     sim_.schedule_in(2 * latency + config_.overload.reply_timeout,
-                     [this, host, epoch, renewal, attempt, xid] {
-                         client_timeout(host, epoch, renewal, attempt, xid);
-                     },
+                     [this, host, renewal, xid] { client_timeout(host, renewal, xid); },
                      "reg-timeout");
 }
 
@@ -252,20 +254,12 @@ void CitySim::serve_registration(MetroHost* host, std::uint32_t epoch,
     AgentStats& as = agents_[host->home_agent];
     (renewal ? *as.renewals : *as.registrations).add();
     ++registrations_total_;
-    const int hops = topo_.hop_count(static_cast<std::size_t>(cell),
-                                     topo_.home_agent_cell(host->home_agent));
-    const sim::Duration back = config_.reg_base_latency + hops * config_.reg_hop_latency +
-                               member_jitter(host->index, epoch);
-    sim_.schedule_in(back, [this, host, epoch, xid] { client_reply(host, epoch, xid); },
-                     "reg-reply");
+    sim_.schedule_in(one_way_latency(host, /*observe=*/false),
+                     [this, host, xid] { client_reply(host, xid); }, "reg-reply");
 }
 
-void CitySim::client_reply(MetroHost* host, std::uint32_t epoch, std::uint64_t xid) {
-    ClientState& c = clients_[host->index];
-    if (host->epoch != epoch || !c.pending || c.last_xid != xid) return;
-    c.pending = false;
-    c.prev_delay = 0;
-    c.circuit_open = false;  // a served exchange closes the circuit
+void CitySim::client_reply(MetroHost* host, std::uint64_t xid) {
+    if (!clients_[host->index].reply(xid, /*served=*/true)) return;
     host->binding_expires = sim_.now() + config_.registration_lifetime;
     // Renewal point. The protected leg draws it from [0.6, 0.9) of the
     // lifetime: cohorts that registered together (initial attach, the
@@ -275,76 +269,41 @@ void CitySim::client_reply(MetroHost* host, std::uint32_t epoch, std::uint64_t x
     // cohorts aligned — part of what the unprotected storm collapses under.
     sim::Duration renew_in = config_.registration_lifetime / 5 * 4;
     if (config_.overload.protection) {
-        const std::uint64_t draw = mobility::mix_seed(
-            config_.population.seed ^ kRenewTag ^
-            (static_cast<std::uint64_t>(host->index) << 20) ^ c.draws++);
+        const std::uint64_t draw = sim::mix64(config_.population.seed ^ kRenewTag ^
+                                              (static_cast<std::uint64_t>(host->index) << 20) ^
+                                              xid);
         const auto span = static_cast<std::uint64_t>(
             std::max<sim::Duration>(config_.registration_lifetime * 3 / 10, 1));
         renew_in = config_.registration_lifetime * 3 / 5 +
                    static_cast<sim::Duration>(draw % span);
     }
     sim_.schedule_in(renew_in,
-                     [this, host, epoch] {
+                     [this, host, epoch = host->epoch] {
                          if (host->epoch == epoch) begin_registration(host, /*renewal=*/true);
                      },
                      "reg-renewal");
 }
 
-void CitySim::client_timeout(MetroHost* host, std::uint32_t epoch, bool renewal,
-                             std::uint32_t attempt, std::uint64_t xid) {
-    ClientState& c = clients_[host->index];
-    if (host->epoch != epoch || !c.pending || c.last_xid != xid) {
+void CitySim::client_timeout(MetroHost* host, bool renewal, std::uint64_t xid) {
+    const core::RegistrationClient::Decision wait = clients_[host->index].backoff(xid);
+    if (wait.action != core::RegistrationClient::Action::Wait) {
         return;  // answered or superseded meanwhile
     }
     ov_timeouts_->add();
-    const CityOverloadConfig& ov = config_.overload;
-    const std::uint32_t next = std::min<std::uint32_t>(attempt + 1, 16);
-    const bool park = ov.protection && ov.retry_budget > 0 && next > ov.retry_budget;
-    sim::Duration delay;
-    if (park) {
-        if (!c.circuit_open) {
-            c.circuit_open = true;
-            ov_circuit_opens_->add();
-            decisions_.record({sim_.now(), "host-" + std::to_string(host->index),
-                               "ha-" + std::to_string(host->home_agent), "overload",
-                               "retry-budget",
-                               "attempts=" + std::to_string(next) + "/" +
-                                   std::to_string(ov.retry_budget),
-                               false, "retrying", "parked", "",
-                               "retry budget exhausted; parking with slow probes"});
-        }
-        // Park-and-probe, jittered +-25% so parked hosts stay decorrelated.
-        const std::uint64_t draw = mobility::mix_seed(
-            config_.population.seed ^ kRetryTag ^
-            (static_cast<std::uint64_t>(host->index) << 20) ^ c.draws++);
-        const auto span =
-            static_cast<std::uint64_t>(std::max<sim::Duration>(ov.circuit_probe / 2, 1));
-        delay = ov.circuit_probe * 3 / 4 + static_cast<sim::Duration>(draw % span);
-    } else if (ov.protection) {
-        ov_retries_->add();
-        // Seeded decorrelated jitter: uniform(base, 3 x previous), capped
-        // (core::DecorrelatedBackoff's policy, inlined over ClientState).
-        const sim::Duration base = ov.reply_timeout;
-        const sim::Duration prev = c.prev_delay == 0 ? base : c.prev_delay;
-        const sim::Duration hi = std::max<sim::Duration>(3 * prev, base + 1);
-        const std::uint64_t draw = mobility::mix_seed(
-            config_.population.seed ^ kRetryTag ^
-            (static_cast<std::uint64_t>(host->index) << 20) ^ c.draws++);
-        delay = std::min<sim::Duration>(
-            base + static_cast<sim::Duration>(draw % static_cast<std::uint64_t>(hi - base)),
-            ov.retry_cap);
-        c.prev_delay = delay;
-    } else {
-        ov_retries_->add();
-        // Ablation OFF leg: synchronized exponential doubling — every host
-        // that timed out together retries together, feeding the storm.
-        delay = ov.reply_timeout;
-        for (std::uint32_t i = 0; i < attempt && delay < ov.retry_cap; ++i) delay *= 2;
-        delay = std::min(delay, ov.retry_cap);
+    if (!wait.parked) ov_retries_->add();
+    if (wait.circuit_opened) {
+        ov_circuit_opens_->add();
+        decisions_.record({sim_.now(), "host-" + std::to_string(host->index),
+                           "ha-" + std::to_string(host->home_agent), "overload",
+                           "retry-budget",
+                           "attempts=" + std::to_string(wait.attempt) + "/" +
+                               std::to_string(config_.overload.retry_budget),
+                           false, "retrying", "parked", "",
+                           "retry budget exhausted; parking with slow probes"});
     }
-    sim_.schedule_in(delay,
-                     [this, host, epoch, renewal, next] {
-                         if (host->epoch == epoch) client_start(host, renewal, next);
+    sim_.schedule_in(wait.delay,
+                     [this, host, renewal, xid] {
+                         send_request(host, renewal, clients_[host->index].retry(xid));
                      },
                      "reg-retry");
 }
@@ -368,7 +327,7 @@ void CitySim::flap_agent_now() {
     for (MetroHost* host : pop_.hosts()) {
         if (host->home_agent != a || host->cell < 0) continue;
         const sim::Duration offset = static_cast<sim::Duration>(
-            mobility::mix_seed(config_.population.seed ^ kFlapTag ^ host->index) % window);
+            sim::mix64(config_.population.seed ^ kFlapTag ^ host->index) % window);
         sim_.schedule_in(offset,
                          [this, host] { begin_registration(host, /*renewal=*/false); },
                          "flap-rereg");
@@ -398,7 +357,7 @@ void CitySim::probe_sweep(std::uint64_t sweep_index) {
     const auto& hosts = pop_.hosts();
     const sim::TimePoint now = sim_.now();
     for (std::size_t k = 0; k < config_.probes_per_sweep; ++k) {
-        const std::uint64_t draw = mobility::mix_seed(
+        const std::uint64_t draw = sim::mix64(
             config_.population.seed ^ kProbeTag ^ (sweep_index * 0x10001ull + k));
         MetroHost* host = hosts[draw % hosts.size()];
         probes_->add();
@@ -471,7 +430,7 @@ void CitySim::run() {
     // exactly the access pattern the calendar queue is built for.
     for (MetroHost* host : pop_.hosts()) {
         const sim::Duration stagger = static_cast<sim::Duration>(
-            mobility::mix_seed(config_.population.seed ^ kStaggerTag ^ host->index) %
+            sim::mix64(config_.population.seed ^ kStaggerTag ^ host->index) %
             static_cast<std::uint64_t>(config_.sample_interval));
         sim_.schedule_at(stagger, [this, host] { sample_host(host); }, "city-sample");
     }

@@ -35,6 +35,7 @@
 
 #include "core/binding.h"
 #include "core/overload.h"
+#include "core/registration_client.h"
 #include "metro/population.h"
 #include "metro/topology.h"
 #include "obs/decision.h"
@@ -50,13 +51,11 @@ namespace mip::metro {
 /// Control-plane overload model for the city (ISSUE 9): when enabled,
 /// every registration exchange runs through a per-home-agent
 /// core::RegistrationQueue (bounded, renewal-priority, token-bucket
-/// admission) with an explicit client loop — reply timeout, seeded
-/// decorrelated-jitter retries, a retry budget opening a park-and-probe
-/// circuit — instead of the analytic always-succeeds exchange. An
-/// optional agent flap wipes one agent's table mid-run so its whole
-/// homed population re-registers inside flap_notice_window: the
-/// registration storm the protections exist for. `protection` selects
-/// the ablation leg — the same storm with the guards on or off.
+/// admission), with a reply timeout and a core::RegistrationClient per
+/// host, instead of the analytic always-succeeds exchange. An optional
+/// agent flap wipes one agent's table mid-run so its whole homed
+/// population re-registers inside flap_notice_window: the registration
+/// storm the protections exist for.
 struct CityOverloadConfig {
     bool enabled = false;
     /// true = protected leg (bounded queue + token bucket + jittered
@@ -67,10 +66,9 @@ struct CityOverloadConfig {
     /// unprotected leg queue_capacity and new_tokens_per_sec are forced
     /// to 0 (unbounded, no admission).
     core::OverloadConfig agent;
-    /// Client reply timeout (beyond the round-trip) before a retry.
+    /// Reply timeout beyond the round trip, and the clients' retry base.
     sim::Duration reply_timeout = sim::milliseconds(500);
-    /// Retry backoff cap (both legs).
-    sim::Duration retry_cap = sim::seconds(8);
+    sim::Duration retry_cap = sim::seconds(8);  ///< retry backoff cap (both legs)
     /// Protected leg: retries before the circuit opens (0 = no budget).
     unsigned retry_budget = 6;
     /// Park-and-probe interval while the circuit is open (jittered ±25%).
@@ -192,30 +190,23 @@ private:
         obs::Counter* expired = nullptr;
     };
 
-    /// Per-host client-side exchange state for the overload model (held
-    /// here, not in MetroHost: the arena-built host record stays POD).
-    struct ClientState {
-        std::uint64_t last_xid = 0;  ///< latest send; stale replies dropped
-        std::uint64_t draws = 0;     ///< monotone jitter-draw counter
-        sim::Duration prev_delay = 0;  ///< decorrelated ramp (0 = fresh)
-        bool pending = false;
-        bool circuit_open = false;
-    };
-
     void sample_host(MetroHost* host);
     void begin_registration(MetroHost* host, bool renewal);
     void finish_registration(MetroHost* host, std::uint32_t epoch,
                              std::int32_t cell, bool renewal);
     void probe_sweep(std::uint64_t sweep_index);
     sim::Duration member_jitter(std::size_t host_index, std::uint32_t epoch) const;
+    /// Hop-proportional one-way latency between @p host's current cell
+    /// and its home agent, jittered per exchange epoch.
+    sim::Duration one_way_latency(const MetroHost* host, bool observe);
 
     // --- overload model (ISSUE 9; all no-ops unless overload.enabled) ---
-    /// Launches one wire exchange (send + reply timeout). attempt 0 opens
-    /// a new epoch; retries keep the epoch and bump the xid.
-    void client_start(MetroHost* host, bool renewal, std::uint32_t attempt);
-    void client_timeout(MetroHost* host, std::uint32_t epoch, bool renewal,
-                        std::uint32_t attempt, std::uint64_t xid);
-    void client_reply(MetroHost* host, std::uint32_t epoch, std::uint64_t xid);
+    /// Carries out the host client's Send decision: the request travels to
+    /// the agent and a reply timeout is armed.
+    void send_request(MetroHost* host, bool renewal,
+                      const core::RegistrationClient::Decision& send);
+    void client_timeout(MetroHost* host, bool renewal, std::uint64_t xid);
+    void client_reply(MetroHost* host, std::uint64_t xid);
     void server_arrival(MetroHost* host, std::uint32_t epoch, std::int32_t cell,
                         bool renewal, std::uint64_t xid);
     void serve_registration(MetroHost* host, std::uint32_t epoch, std::int32_t cell,
@@ -237,7 +228,9 @@ private:
     std::vector<AgentStats> agents_;
     /// Overload model state (empty when overload.enabled is false).
     std::vector<std::unique_ptr<core::RegistrationQueue>> queues_;
-    std::vector<ClientState> clients_;
+    /// One registration client per host (held here, not in MetroHost:
+    /// the arena-built host record stays POD).
+    std::vector<core::RegistrationClient> clients_;
     obs::Counter* ov_retries_ = nullptr;
     obs::Counter* ov_timeouts_ = nullptr;
     obs::Counter* ov_circuit_opens_ = nullptr;

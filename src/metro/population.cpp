@@ -6,7 +6,7 @@
 namespace mip::metro {
 
 using mobility::GroupMemberMobility;
-using mobility::mix_seed;
+using sim::mix64;
 using mobility::Position;
 using mobility::RandomWaypointMobility;
 using mobility::seed_unit;
@@ -22,7 +22,7 @@ constexpr std::uint64_t kMemberTag = 0x4D454D42ull;    // "MEMB"
 constexpr std::uint64_t kSoloTag = 0x534F4C4Full;      // "SOLO"
 
 std::uint64_t derive(std::uint64_t seed, std::uint64_t tag, std::uint64_t index) {
-    return mix_seed(mix_seed(seed ^ tag) + index);
+    return mix64(mix64(seed ^ tag) + index);
 }
 
 /// A scripted metro line: ping-pong across the city @p cycles times at
@@ -98,8 +98,8 @@ Population::Population(const MetroTopology& topo, PopulationConfig config)
         rw.max_speed_mps = config_.max_speed_mps;
         rw.pause = config_.pause;
         rw.seed = derive(config_.seed, kFlockTag, f);
-        rw.start = Position{seed_unit(mix_seed(rw.seed)) * topo.width_m(),
-                            seed_unit(mix_seed(rw.seed + 1)) * topo.height_m()};
+        rw.start = Position{seed_unit(mix64(rw.seed)) * topo.width_m(),
+                            seed_unit(mix64(rw.seed + 1)) * topo.height_m()};
         flock_leaders.push_back(std::make_shared<RandomWaypointMobility>(rw));
     }
     std::vector<std::shared_ptr<mobility::MobilityModel>> line_leaders;
@@ -143,8 +143,8 @@ Population::Population(const MetroTopology& topo, PopulationConfig config)
             rw.max_speed_mps = config_.max_speed_mps;
             rw.pause = config_.pause;
             rw.seed = derive(config_.seed, kSoloTag, i);
-            rw.start = Position{seed_unit(mix_seed(rw.seed)) * topo.width_m(),
-                                seed_unit(mix_seed(rw.seed + 1)) * topo.height_m()};
+            rw.start = Position{seed_unit(mix64(rw.seed)) * topo.width_m(),
+                                seed_unit(mix64(rw.seed + 1)) * topo.height_m()};
             host->model = arena_.create<RandomWaypointMobility>(rw);
         }
         hosts_.push_back(host);

@@ -6,7 +6,7 @@
 // metro-line path (GroupMemberMobility over TraceMobility), and solo
 // walkers on independent random-waypoint trajectories. Every per-host
 // parameter — leader seeds, member jitter, start positions — is derived
-// from (config.seed, index) via mobility::mix_seed, so two populations
+// from (config.seed, index) via sim::mix64, so two populations
 // built from equal configs are trajectory-identical, which is what lets
 // SweepRunner jobs at any --jobs produce byte-identical artifacts.
 //

@@ -6,15 +6,6 @@
 
 namespace mip::mobility {
 
-std::uint64_t mix_seed(std::uint64_t x) {
-    // splitmix64 finalizer: cheap, stateless, and good enough to make
-    // adjacent member indices land far apart in parameter space.
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
 double seed_unit(std::uint64_t mixed) {
     // Top 53 bits -> [0, 1); exact in a double.
     return static_cast<double>(mixed >> 11) * 0x1.0p-53;
@@ -35,10 +26,10 @@ GroupMemberMobility::GroupMemberMobility(std::shared_ptr<MobilityModel> leader,
     if (config_.wander_period <= 0) {
         throw std::invalid_argument("GroupMemberMobility: wander_period must be > 0");
     }
-    const std::uint64_t m0 = mix_seed(config_.seed);
-    const std::uint64_t m1 = mix_seed(m0);
-    const std::uint64_t m2 = mix_seed(m1);
-    const std::uint64_t m3 = mix_seed(m2);
+    const std::uint64_t m0 = sim::mix64(config_.seed);
+    const std::uint64_t m1 = sim::mix64(m0);
+    const std::uint64_t m2 = sim::mix64(m1);
+    const std::uint64_t m3 = sim::mix64(m2);
     const double anchor_r = config_.max_radius_m * config_.anchor_fraction *
                             seed_unit(m0);
     const double anchor_theta = 2 * std::numbers::pi * seed_unit(m1);

@@ -22,6 +22,7 @@
 #include <memory>
 
 #include "mobility/motion.h"
+#include "sim/mix.h"
 
 namespace mip::mobility {
 
@@ -41,7 +42,7 @@ public:
         /// Period of the sinusoidal wander around the anchor.
         sim::Duration wander_period = sim::seconds(30);
         /// Per-member seed: anchor angle, wander phase and amplitude are
-        /// derived from it (splitmix64), so a flock built from seeds
+        /// derived from it (sim::mix64), so a flock built from seeds
         /// 1..N is deterministic and members are mutually distinct.
         std::uint64_t seed = 1;
     };
@@ -62,11 +63,6 @@ private:
     double wander_r_ = 0;     ///< wander amplitude (<= max_radius - |anchor|)
     double wander_phase_ = 0; ///< radians
 };
-
-/// splitmix64 — the seed mixer the models above share. Exposed so the
-/// metro population builder derives per-host/per-flock seeds the same
-/// way the tests do.
-std::uint64_t mix_seed(std::uint64_t x);
 
 /// A uniform double in [0, 1) from a mixed seed (deterministic, no RNG
 /// state; used for per-member parameter derivation).

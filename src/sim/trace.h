@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/mix.h"
 #include "sim/record_arena.h"
 #include "sim/time.h"
 
@@ -205,7 +206,7 @@ public:
     /// determinism property tests and the exporters' metadata).
     bool keeps(std::uint64_t packet_id) const noexcept {
         return packet_id == 0 || sample_rate_ >= 1.0 ||
-               (splitmix64(packet_id ^ sample_seed_) >> 11) < sample_threshold_;
+               (mix64(packet_id ^ sample_seed_) >> 11) < sample_threshold_;
     }
     /// Records dropped by sampling since construction/clear().
     std::uint64_t records_sampled_out() const noexcept { return sampled_out_; }
@@ -253,13 +254,6 @@ public:
     /// This recorder's arena (the injected one or the owned fallback) —
     /// bench_perf reports its reuse stats as hot-path evidence.
     const RecordArena& arena() const noexcept { return *arena_; }
-
-    static std::uint64_t splitmix64(std::uint64_t x) noexcept {
-        x += 0x9e3779b97f4a7c15ULL;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-        return x ^ (x >> 31);
-    }
 
 private:
     RecordArena owned_arena_;  ///< used when no arena is injected

@@ -69,25 +69,11 @@ struct Config {
     /// is safe to leave on with the static controller).
     bool paced = false;
 
-    // ---- deprecated aliases (kept for one release) ------------------------
-    // Migration: `rto` and `max_retries` were TcpConnection::Config's only
-    // knobs. `rto` is now the *initial/static* RTO — the parameter of the
-    // default StaticController and the seed for adaptive controllers,
-    // which take over rto scheduling entirely. `max_retries` remains the
-    // connection give-up threshold (controller-independent). New code
-    // should set `controller`/`paced` and treat these two as the legacy
-    // spelling; they will fold into the factory context next release.
-    sim::Duration rto = sim::milliseconds(200);  ///< deprecated: initial RTO
-    unsigned max_retries = 8;                    ///< deprecated: give up after this many RTOs
+    /// Initial RTO: the default StaticController's parameter, and the seed
+    /// adaptive controllers start from before they take over scheduling.
+    sim::Duration rto = sim::milliseconds(200);
+    unsigned max_retries = 8;  ///< give up after this many RTOs, whatever the controller
 };
-static_assert(sizeof(Config::rto) > 0,
-              "transport::Config::rto / max_retries are deprecated aliases "
-              "(see the migration note above): configure a controller "
-              "factory + paced flag instead.");
-
-/// Deprecated name for transport::Config (pre-ISSUE-10). Will be removed
-/// next release.
-using TcpConfig = Config;
 
 enum class TcpState {
     SynSent,

@@ -282,3 +282,71 @@ TEST(CitySim, RunTwiceThrows) {
     city.run();
     EXPECT_THROW(city.run(), std::logic_error);
 }
+
+// ---- overload model -----------------------------------------------------------
+
+namespace {
+
+/// abl_overload's smoke-size agent flap: 400 hosts homed at two agents,
+/// agent 0 wiped at one third of a 100 s run, its homed population
+/// storming back inside one second against a 15 ms/request agent.
+CityConfig flap_city(bool protection) {
+    CityConfig cfg;
+    cfg.metro.cells_x = 6;
+    cfg.metro.cells_y = 6;
+    cfg.metro.cell_size_m = 400.0;
+    cfg.metro.home_agents = 2;
+    cfg.population.hosts = 400;
+    cfg.population.seed = 1;
+    cfg.population.metro_lines = 2;
+    cfg.duration = sim::seconds(100);
+    cfg.registration_lifetime = sim::seconds(60);
+    cfg.metrics_interval = sim::seconds(10);
+    cfg.probes_per_sweep = 64;
+    cfg.monitor_interval = sim::seconds(1);
+    cfg.storm_rate_floor = 400.0;  // only the overload rules matter here
+    cfg.overload.enabled = true;
+    cfg.overload.protection = protection;
+    cfg.overload.agent.service_time = sim::milliseconds(15);
+    cfg.overload.agent.queue_capacity = 16;
+    cfg.overload.agent.new_tokens_per_sec = 40.0;
+    cfg.overload.flap_at = cfg.duration / 3;
+    cfg.overload.flap_agent = 0;
+    cfg.overload.flap_notice_window = sim::seconds(1);
+    return cfg;
+}
+
+}  // namespace
+
+TEST(CityOverload, ProtectedFlapRecoversAndItsShedSpikeClears) {
+    CitySim city(flap_city(/*protection=*/true));
+    city.run();
+    ASSERT_TRUE(city.storm_recovery().has_value());
+    EXPECT_LE(*city.storm_recovery(), sim::seconds(60));
+    ASSERT_NE(city.monitor(), nullptr);
+    EXPECT_GE(city.monitor()->trip_count("ha-0-shed-spike"), 1u);
+    EXPECT_FALSE(city.monitor()->tripped("ha-0-shed-spike"));
+    EXPECT_EQ(city.monitor()->trip_count("ha-0-queue-watermark"), 0u);
+    EXPECT_LE(city.overload_queue(0)->stats().queue_peak, 16u);
+}
+
+TEST(CityOverload, UnprotectedFlapTripsTheQueueWatermark) {
+    // At this scale the unbounded queue does drain eventually; the
+    // collapse evidence is the backlog outrunning 4x the protected bound.
+    CitySim city(flap_city(/*protection=*/false));
+    city.run();
+    ASSERT_NE(city.monitor(), nullptr);
+    EXPECT_GE(city.monitor()->trip_count("ha-0-queue-watermark"), 1u);
+    EXPECT_EQ(city.monitor()->trip_count("ha-0-shed-spike"), 0u);
+    EXPECT_EQ(city.overload_queue(0)->shed_total(), 0u);
+    EXPECT_GT(city.overload_queue(0)->stats().queue_peak, 64u);
+}
+
+TEST(CityOverload, FlapRunIsDeterministic) {
+    CitySim a(flap_city(/*protection=*/true));
+    CitySim b(flap_city(/*protection=*/true));
+    a.run();
+    b.run();
+    EXPECT_EQ(a.snapshot_json("test", "flap"), b.snapshot_json("test", "flap"));
+    EXPECT_EQ(a.decisions().size(), b.decisions().size());
+}

@@ -30,7 +30,7 @@ TEST_P(TcpTransferProperty, DeliversExactlyAndInOrder) {
     a.attach(lan, "10.0.0.1"_ip, "10.0.0.0/24"_net);
     b.attach(lan, "10.0.0.2"_ip, "10.0.0.0/24"_net);
 
-    transport::TcpConfig tcfg;
+    transport::Config tcfg;
     tcfg.mss = mss;
     tcfg.rto = sim::milliseconds(100);
     tcfg.max_retries = 14;

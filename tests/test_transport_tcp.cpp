@@ -133,7 +133,7 @@ TEST(Tcp, AbortSendsRst) {
 }
 
 TEST(Tcp, UnreachablePeerFailsAfterRetries) {
-    transport::TcpConfig cfg;
+    transport::Config cfg;
     cfg.max_retries = 3;
     cfg.rto = sim::milliseconds(50);
 
