@@ -74,6 +74,9 @@ struct RunStats {
     // Buffer-pool counters from the run's simulator (hot-path evidence):
     std::uint64_t pool_acquires = 0;
     std::uint64_t pool_reuses = 0;
+    // Event-queue work per operation (deterministic; gated in CI):
+    double shifts_per_push = 0.0;
+    double scans_per_pop = 0.0;
     // Record-arena counters (trace/decision chunk recycling, ISSUE 7):
     std::uint64_t arena_acquires = 0;
     std::uint64_t arena_allocations = 0;
@@ -185,6 +188,8 @@ RunStats run_scenario(const bench::HarnessOptions& opt, const PerfScenario& sc,
     r.sim_seconds = static_cast<double>(world.sim.now() - sim_start) / 1e9;
     r.pool_acquires = world.sim.buffer_pool().stats().acquires;
     r.pool_reuses = world.sim.buffer_pool().stats().reuses;
+    r.shifts_per_push = world.sim.queue_stats().shifts_per_push();
+    r.scans_per_pop = world.sim.queue_stats().scans_per_pop();
     r.arena_acquires = world.sim.record_arena().stats().acquires;
     r.arena_allocations = world.sim.record_arena().stats().allocations;
     r.trace_records = world.trace.record_count();
@@ -221,6 +226,8 @@ obs::JsonValue::Object run_to_json(const RunStats& r) {
     o["reps"] = r.reps;
     o["pool_acquires"] = r.pool_acquires;
     o["pool_reuses"] = r.pool_reuses;
+    o["shifts_per_push"] = r.shifts_per_push;
+    o["scans_per_pop"] = r.scans_per_pop;
     return o;
 }
 

@@ -43,9 +43,12 @@ def run_main(module, argv):
 
 
 def perf_doc(*, smoke, scenario_rate=1000.0, city_rate=5000.0,
-             traced_pct=None, obs_pct=None, overload_rate=None, cc_rate=None):
+             traced_pct=None, obs_pct=None, overload_rate=None, cc_rate=None,
+             queue_work=None):
     """A minimal BENCH_perf.json document with the fields the gate reads."""
     scenario = {"name": "basic", "baseline": {"events_per_sec": scenario_rate}}
+    if queue_work is not None:
+        scenario["baseline"].update(queue_work)
     if traced_pct is not None:
         scenario["overhead"] = {"traced_overhead_pct": traced_pct}
     city = {"events_per_sec": city_rate}
@@ -201,6 +204,30 @@ class PerfTrendTest(unittest.TestCase):
             perf_doc(smoke=True),
             perf_doc(smoke=False, obs_pct=99.0))
         self.assertEqual(code, 1)
+
+    def test_queue_work_at_the_bounds_passes(self):
+        code, _, _ = self.check(
+            perf_doc(smoke=True),
+            perf_doc(smoke=True, queue_work=dict(check_perf_trend.QUEUE_WORK_BOUNDS)))
+        self.assertEqual(code, 0)
+
+    def test_queue_work_bounds_bind_on_smoke_documents(self):
+        # Deterministic counters mean the same at smoke scale, unlike the
+        # wall-clock figures, so a smoke document goes red.
+        for field, bound in check_perf_trend.QUEUE_WORK_BOUNDS.items():
+            code, out, _ = self.check(
+                perf_doc(smoke=True),
+                perf_doc(smoke=True, queue_work={field: bound + 0.01}))
+            self.assertEqual(code, 1, field)
+            self.assertIn(field, out)
+            self.assertIn("scenario:basic.baseline", out)
+
+    def test_queue_work_checked_on_overhead_legs(self):
+        fresh = perf_doc(smoke=True)
+        fresh["scenarios"][0]["overhead"] = {"traced": {"shifts_per_push": 100.0}}
+        code, out, _ = self.check(perf_doc(smoke=True), fresh)
+        self.assertEqual(code, 1)
+        self.assertIn("overhead.traced", out)
 
 
 class DocsSchemaTest(unittest.TestCase):

@@ -119,7 +119,7 @@ private:
     void maybe_send_advert(net::Ipv4Address correspondent, const Binding& binding);
     /// (Re)arms the binding GC timer at the table's earliest expiry. Only
     /// cancels the pending timer when a strictly earlier expiry appears, so
-    /// the simulator's cancelled-set churn stays bounded.
+    /// the simulator's queued tombstones stay few.
     void arm_binding_gc();
     void expire_bindings();
 

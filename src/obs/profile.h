@@ -11,9 +11,9 @@
 //   ("simulator", "profiler", "wall_ns")            total handler wall time
 //   ("simulator", "profiler", "events_per_sec")     dispatch rate so far
 //   ("simulator", "profiler", "max_queue_depth")    queue high-water mark
-//   ("simulator", "profiler", "max_cancelled")      cancelled-set high-water
+//   ("simulator", "profiler", "max_cancelled")      queued-cancellation high-water
 //   ("simulator", "queue", "depth")                 live pending-event count
-//   ("simulator", "queue", "cancelled_backlog")     live cancelled-set size
+//   ("simulator", "queue", "cancelled_backlog")     cancelled events still queued
 //   ("simulator", "profiler", "kind/<kind>")        per-kind dispatch count
 //
 // Gauges poll live, so a MetricsSampler attached to the same registry

@@ -5,95 +5,120 @@
 namespace mip::sim {
 
 namespace {
-/// Bucket storage order: descending (when, id), so back() is earliest.
-bool stored_before(const SchedEvent& a, const SchedEvent& b) noexcept {
-    return fires_before(b, a);
+
+/// Brown's rule over @p n keys sorted ascending: the mean gap between
+/// neighbours, recomputed without the gaps over twice that mean, times 3.
+/// Keys at one instant give a zero mean, hence the 1 ns floor.
+Duration head_width(const EventKey* keys, std::size_t n) {
+    const Duration mean = (keys[n - 1].when - keys[0].when) / static_cast<Duration>(n - 1);
+    Duration sum = 0;
+    Duration kept = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+        const Duration gap = keys[i].when - keys[i - 1].when;
+        if (gap <= 2 * mean) {
+            sum += gap;
+            ++kept;
+        }
+    }
+    return std::max<Duration>(1, 3 * sum / kept);
 }
+
 }  // namespace
 
 CalendarQueue::CalendarQueue() : buckets_(kMinBuckets) {}
 
-void CalendarQueue::push(SchedEvent ev) {
-    if (count_ == 0 || ev.when < cur_top_ - width_) {
-        // First event, or one scheduled before the scan's current day
+void CalendarQueue::push(EventKey key) {
+    if (count_ == 0 || key.when < cur_top_ - width_) {
+        // First key, or one scheduled before the scan's current day
         // (possible during setup, when a near event follows a far one):
         // park the scan on it so nothing later is popped first.
-        aim_at(ev.when);
+        aim_at(key.when);
     }
-    std::vector<SchedEvent>& b = buckets_[bucket_of(ev.when)];
-    b.insert(std::upper_bound(b.begin(), b.end(), ev, stored_before), std::move(ev));
+    insert(key);
     ++count_;
     if (count_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
         rebuild(buckets_.size() * 2);
     }
 }
 
-bool CalendarQueue::pop_if(TimePoint limit, SchedEvent& out) {
+void CalendarQueue::insert(EventKey key) {
+    Bucket& b = buckets_[bucket_of(key.when)];
+    std::vector<EventKey>& keys = b.keys;
+    const auto live = static_cast<std::ptrdiff_t>(keys.size() - b.head);
+    auto first = keys.begin() + static_cast<std::ptrdiff_t>(b.head);
+    auto pos = std::upper_bound(first, keys.end(), key, fires_before);
+    const std::ptrdiff_t before = pos - first;
+    if (b.head > 0 && before <= live - before) {
+        // Slide the earlier keys down into the hole the pops left.
+        std::move(first, pos, first - 1);
+        *(pos - 1) = key;
+        --b.head;
+        stats_.shifts += static_cast<std::uint64_t>(before);
+        return;
+    }
+    if (static_cast<std::ptrdiff_t>(b.head) > live) {
+        // More hole than keys: a bucket that never empties would otherwise
+        // grow without bound.
+        keys.erase(keys.begin(), first);
+        b.head = 0;
+        stats_.shifts += static_cast<std::uint64_t>(live);
+        pos = keys.begin() + before;
+    }
+    stats_.shifts += static_cast<std::uint64_t>(keys.end() - pos);
+    keys.insert(pos, key);
+}
+
+bool CalendarQueue::pop_if(TimePoint limit, EventKey& out) {
     if (count_ == 0) return false;
     std::size_t scanned = 0;
     while (true) {
-        std::vector<SchedEvent>& b = buckets_[cur_];
-        // The year guard: only events inside the current one-day window
-        // belong to this visit; a far-future event hashing into this
+        Bucket& b = buckets_[cur_];
+        // The year guard: only keys inside the current one-day window
+        // belong to this visit; a far-future key hashing into this
         // bucket waits for its own year.
-        if (!b.empty() && b.back().when < cur_top_) {
-            if (b.back().when > limit) return false;
-            out = std::move(b.back());
-            b.pop_back();
+        if (!b.empty() && b.front().when < cur_top_) {
+            if (b.front().when > limit) return false;
+            out = b.front();
+            if (++b.head == b.keys.size()) {
+                b.keys.clear();
+                b.head = 0;
+            }
             --count_;
-            if (count_ > 0 && count_ * 4 < buckets_.size() &&
-                buckets_.size() > kMinBuckets) {
+            if (count_ > 0 && count_ * 4 < buckets_.size() && buckets_.size() > kMinBuckets) {
                 rebuild(buckets_.size() / 2);
             }
             return true;
         }
-        ++scanned;
+        ++stats_.scans;
         cur_ = (cur_ + 1) & mask_;
         cur_top_ += width_;
-        if (scanned >= buckets_.size()) {
-            // A whole year scanned dry: the next event is over a year
-            // away. Find it directly (each bucket's back() is its
-            // earliest, so the minimum over backs is the global one)
-            // and jump the scan straight to its day.
-            const SchedEvent* min = nullptr;
-            for (const std::vector<SchedEvent>& bucket : buckets_) {
-                if (!bucket.empty() &&
-                    (min == nullptr || fires_before(bucket.back(), *min))) {
-                    min = &bucket.back();
-                }
-            }
-            aim_at(min->when);
+        if (++scanned >= buckets_.size()) {
+            // A whole year scanned dry: the days are too narrow for what
+            // is pending now. Re-estimate them from the new head, which
+            // also aims the scan at the earliest key.
+            rebuild(buckets_.size());
             scanned = 0;
         }
     }
 }
 
 void CalendarQueue::rebuild(std::size_t nbuckets) {
-    std::vector<SchedEvent> all;
+    ++stats_.rebuilds;
+    std::vector<EventKey> all;
     all.reserve(count_);
-    TimePoint min_when = 0, max_when = 0;
-    bool first = true;
-    for (std::vector<SchedEvent>& b : buckets_) {
-        for (SchedEvent& ev : b) {
-            if (first || ev.when < min_when) min_when = ev.when;
-            if (first || ev.when > max_when) max_when = ev.when;
-            first = false;
-            all.push_back(std::move(ev));
-        }
+    for (const Bucket& b : buckets_) {
+        all.insert(all.end(), b.keys.begin() + static_cast<std::ptrdiff_t>(b.head), b.keys.end());
     }
+    // Brown's rule samples the head: the kWidthSample earliest keys.
+    const std::size_t sample = std::min(all.size(), kWidthSample);
+    std::partial_sort(all.begin(), all.begin() + static_cast<std::ptrdiff_t>(sample), all.end(),
+                      fires_before);
+    if (sample >= 2) width_ = head_width(all.data(), sample);
     buckets_.assign(nbuckets, {});
     mask_ = nbuckets - 1;
-    // Width ~ the average gap between consecutive pending events keeps
-    // roughly one event per bucket-day. A bad estimate costs speed, not
-    // correctness: ordering never depends on the width.
-    width_ = std::max<Duration>(
-        1, (max_when - min_when) / static_cast<Duration>(count_) + 1);
-    for (SchedEvent& ev : all) {
-        std::vector<SchedEvent>& b = buckets_[bucket_of(ev.when)];
-        b.insert(std::upper_bound(b.begin(), b.end(), ev, stored_before),
-                 std::move(ev));
-    }
-    aim_at(min_when);
+    for (const EventKey& key : all) buckets_[bucket_of(key.when)].keys.push_back(key);
+    for (Bucket& b : buckets_) std::sort(b.keys.begin(), b.keys.end(), fires_before);
+    aim_at(all.front().when);
 }
 
 }  // namespace mip::sim

@@ -1,86 +1,140 @@
-// Event-queue structures behind sim::Simulator (ISSUE 6: the city-scale
-// scenario forces an indexed calendar queue).
+// Event-queue structures behind sim::Simulator.
 //
-// The simulator's ordering contract is a *total* order — (when, id)
-// ascending, ids unique — so any correct priority structure dispatches
-// the exact same event sequence and every artifact stays byte-identical.
-// That is what lets the queue implementation be swapped for speed:
+// The simulator's ordering contract is a *total* order — (when, schedule
+// sequence) ascending, sequences unique — so any correct priority
+// structure dispatches the exact same event sequence and every artifact
+// stays byte-identical. That is what lets the queue be tuned for speed.
 //
-//   BinaryHeap  the seed scheduler: std::priority_queue, O(log n) per
-//               operation. Fine for hundreds of pending events, but a
-//               city-scale run keeps tens of thousands of host timers
-//               pending and the percolation (moving std::function
-//               closures up and down the heap) starts to dominate.
+// Storage is split in two. The priority structure holds only 16-byte,
+// trivially copyable EventKeys {when, seq << 24 | slot}; the closure and
+// its profiler tag live in the simulator's slot slab, reached through
+// the key's slot index. Moving a key is a memmove, never a std::function
+// move, and the key alone decides the order.
 //
-//   Calendar    Brown's indexed calendar queue (CACM 1988): a hash of
-//               time-ordered buckets, one "day" wide each, scanned like
-//               a desk calendar. Enqueue hashes the timestamp to a
-//               bucket (amortized O(1)); dequeue pops the current
-//               bucket's earliest event or advances to the next day.
-//               Bucket count and width resize from the live event
-//               population, keeping ~O(1) events per bucket.
+//   BinaryHeap  std::priority_queue over the keys, O(log n) per
+//               operation. Kept for the equivalence tests and the
+//               before/after figure bench_city records.
 //
-// CalendarQueue preserves the (when, id) total order exactly — each
-// bucket is kept sorted, and the year guard (`when < cur_top_`) defers
-// far-future events that hash into a near bucket — so BinaryHeap and
-// Calendar runs are interchangeable bit for bit (asserted by
-// tests/test_sim.cpp and the scheduler-equivalence suite).
+//   Calendar    Brown's indexed calendar queue (CACM 1988): time-ordered
+//               buckets, one "day" wide each, scanned like a desk
+//               calendar. Enqueue hashes the timestamp to a bucket;
+//               dequeue takes the current bucket's earliest key or
+//               advances to the next day. The bucket count doubles and
+//               halves with the population. The day width follows
+//               Brown's rule on the ~25 keys nearest the head of the
+//               queue (3x their trimmed mean gap), so a few distant
+//               timers cannot stretch the days the dense near-term
+//               traffic lives in. A whole year scanned dry means the
+//               width is too small for what is pending now, and
+//               re-estimates it from the new head.
+//
+// A bad width costs speed, never order: each bucket is kept sorted, and
+// the year guard (`when < cur_top_`) defers a far-future key that hashes
+// into a near bucket. QueueStats counts the work — key shifts on insert,
+// empty-bucket scan steps on pop, rebuilds — deterministically, so tests
+// and CI bound it exactly (tests/test_sim.cpp, bench/check_perf_trend.py).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace mip::sim {
 
-/// Handle for cancelling a scheduled event.
+/// Handle for cancelling a scheduled event: generation << 32 | slot.
+/// Never 0, so 0 works as "no event" in timer members.
 using EventId = std::uint64_t;
 
-/// One scheduled callback, as stored by whichever queue is active.
-struct SchedEvent {
+/// What a priority structure orders: the firing time, then `order` =
+/// schedule sequence << kSlotBits | slot. Sequences are unique, so the
+/// slot bits never decide a comparison.
+struct EventKey {
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+
     TimePoint when = 0;
-    EventId id = 0;
-    std::function<void()> action;
-    const char* kind = nullptr;  ///< profiler tag; nullptr = generic "event"
+    std::uint64_t order = 0;
+
+    std::uint32_t slot() const noexcept { return static_cast<std::uint32_t>(order & kSlotMask); }
 };
 
 /// True when @p a must fire before @p b (the simulator's total order).
-inline bool fires_before(const SchedEvent& a, const SchedEvent& b) noexcept {
-    return a.when != b.when ? a.when < b.when : a.id < b.id;
+inline bool fires_before(const EventKey& a, const EventKey& b) noexcept {
+    return a.when != b.when ? a.when < b.when : a.order < b.order;
 }
 
-/// Indexed calendar queue over SchedEvents. Not a template: the
-/// simulator is its only client, and a concrete type keeps the hot
-/// push/pop paths inlineable without header-spraying the bucket logic.
+/// Deterministic work counters for the event queue. The calendar fields
+/// stay zero under SchedulerKind::BinaryHeap.
+struct QueueStats {
+    std::uint64_t scheduled = 0;  ///< keys pushed
+    std::uint64_t popped = 0;     ///< keys popped, cancelled ones included
+    std::uint64_t cancelled = 0;  ///< successful cancel() calls
+    std::uint64_t shifts = 0;     ///< keys moved inside buckets by inserts
+    std::uint64_t scans = 0;      ///< empty-bucket steps taken by pops
+    std::uint64_t rebuilds = 0;   ///< re-bucketings (resizes and re-estimates)
+
+    double shifts_per_push() const noexcept {
+        return scheduled == 0 ? 0.0 : static_cast<double>(shifts) / static_cast<double>(scheduled);
+    }
+    double scans_per_pop() const noexcept {
+        return popped == 0 ? 0.0 : static_cast<double>(scans) / static_cast<double>(popped);
+    }
+};
+
+/// Indexed calendar queue over EventKeys.
 class CalendarQueue {
 public:
     CalendarQueue();
 
-    void push(SchedEvent ev);
+    void push(EventKey key);
 
-    /// Moves the earliest event into @p out if its timestamp is <= @p
+    /// Moves the earliest key into @p out if its timestamp is <= @p
     /// limit; returns false (leaving the queue untouched) otherwise.
-    bool pop_if(TimePoint limit, SchedEvent& out);
+    bool pop_if(TimePoint limit, EventKey& out);
+
+    /// The key the scan is parked on, or nullptr: most often the next to
+    /// pop, which makes it a prefetch hint.
+    const EventKey* front_hint() const noexcept {
+        const Bucket& b = buckets_[cur_];
+        return b.empty() ? nullptr : &b.front();
+    }
 
     std::size_t size() const noexcept { return count_; }
     bool empty() const noexcept { return count_ == 0; }
 
-    /// Bucket count right now (resize observability for the tests).
+    /// Bucket count and day width right now (resize observability).
     std::size_t buckets() const noexcept { return buckets_.size(); }
     Duration bucket_width() const noexcept { return width_; }
+
+    /// shifts, scans and rebuilds; the simulator fills in the rest.
+    const QueueStats& stats() const noexcept { return stats_; }
 
 private:
     static constexpr std::size_t kMinBuckets = 16;
     static constexpr std::size_t kMaxBuckets = 1 << 20;
+    /// Keys sampled from the head to size the day (Brown's rule).
+    static constexpr std::size_t kWidthSample = 25;
+
+    /// Keys ascending by (when, order) in keys[head, end). Pops advance
+    /// `head`; an insert ahead of everything reuses the hole it leaves.
+    struct Bucket {
+        std::vector<EventKey> keys;
+        std::size_t head = 0;
+
+        bool empty() const noexcept { return head == keys.size(); }
+        const EventKey& front() const noexcept { return keys[head]; }
+    };
 
     std::size_t bucket_of(TimePoint when) const noexcept {
         return static_cast<std::size_t>(when / width_) & mask_;
     }
 
-    /// Re-buckets every event into @p nbuckets buckets with a width set
-    /// to the live population's average inter-event gap.
+    /// Inserts @p key into its bucket in order, counting shifted keys.
+    void insert(EventKey key);
+
+    /// Re-buckets every key into @p nbuckets buckets, with the day width
+    /// re-estimated from the earliest keys.
     void rebuild(std::size_t nbuckets);
 
     /// Points the scan at @p when's bucket and year.
@@ -89,14 +143,13 @@ private:
         cur_top_ = (when / width_ + 1) * width_;
     }
 
-    // Each bucket is sorted DESCENDING by (when, id): back() is the
-    // bucket's earliest event, so the common dequeue is a pop_back.
-    std::vector<std::vector<SchedEvent>> buckets_;
+    std::vector<Bucket> buckets_;
     std::size_t mask_ = kMinBuckets - 1;
     Duration width_ = milliseconds(1);
     std::size_t count_ = 0;
     std::size_t cur_ = 0;        ///< bucket the scan is parked on
     TimePoint cur_top_ = 0;      ///< end of cur_'s active one-day window
+    QueueStats stats_;
 };
 
 }  // namespace mip::sim

@@ -8,7 +8,11 @@ namespace mip::sim {
 
 void SimProfiler::record(const char* kind, std::uint64_t wall_ns, std::size_t queue_depth,
                          std::size_t cancelled_size) {
-    EventKindProfile& p = by_kind_[kind != nullptr ? kind : "event"];
+    auto it = std::find_if(by_tag_.begin(), by_tag_.end(),
+                           [kind](const auto& entry) { return entry.first == kind; });
+    if (it == by_tag_.end()) it = by_tag_.insert(it, {kind, {}});
+    EventKindProfile& p = it->second;
+    merged_ = false;
     ++p.dispatches;
     p.wall_ns += wall_ns;
     p.max_wall_ns = std::max(p.max_wall_ns, wall_ns);
@@ -16,6 +20,20 @@ void SimProfiler::record(const char* kind, std::uint64_t wall_ns, std::size_t qu
     total_wall_ns_ += wall_ns;
     max_queue_depth_ = std::max(max_queue_depth_, queue_depth);
     max_cancelled_size_ = std::max(max_cancelled_size_, cancelled_size);
+}
+
+const std::map<std::string, EventKindProfile>& SimProfiler::by_kind() const {
+    if (!merged_) {
+        by_kind_.clear();
+        for (const auto& [tag, profile] : by_tag_) {
+            EventKindProfile& p = by_kind_[tag != nullptr ? tag : "event"];
+            p.dispatches += profile.dispatches;
+            p.wall_ns += profile.wall_ns;
+            p.max_wall_ns = std::max(p.max_wall_ns, profile.max_wall_ns);
+        }
+        merged_ = true;
+    }
+    return by_kind_;
 }
 
 double SimProfiler::events_per_second() const noexcept {
@@ -26,8 +44,8 @@ double SimProfiler::events_per_second() const noexcept {
 
 std::string SimProfiler::summary() const {
     std::vector<const std::map<std::string, EventKindProfile>::value_type*> rows;
-    rows.reserve(by_kind_.size());
-    for (const auto& kv : by_kind_) rows.push_back(&kv);
+    rows.reserve(by_kind().size());
+    for (const auto& kv : by_kind()) rows.push_back(&kv);
     std::sort(rows.begin(), rows.end(),
               [](const auto* a, const auto* b) { return a->second.wall_ns > b->second.wall_ns; });
 
@@ -55,7 +73,9 @@ std::string SimProfiler::summary() const {
 }
 
 void SimProfiler::reset() {
+    by_tag_.clear();
     by_kind_.clear();
+    merged_ = true;
     total_dispatches_ = 0;
     total_wall_ns_ = 0;
     max_queue_depth_ = 0;

@@ -8,15 +8,15 @@
 //   * per-event-kind dispatch counts and wall-clock time (events are
 //     tagged at their schedule site: "frame-delivery", "tcp-rto",
 //     "handoff-sample", ...; untagged events fall under "event")
-//   * high-water marks for the event-queue depth and the cancelled-set
-//     size (the two structures whose growth governs memory and the
-//     O(log n) push/pop cost)
+//   * high-water marks for the event-queue depth and for the cancelled
+//     events still queued (tombstones awaiting their pop)
 //
 // Cost model: when no profiler is attached (the default) the simulator
 // pays a single pointer comparison per event — the guard is at attach
 // time, and bench_perf verifies the disabled overhead is unmeasurable.
-// When attached, each dispatch adds two steady_clock reads and one map
-// lookup; that is the price of the data.
+// When attached, each dispatch adds two steady_clock reads and a scan of
+// the distinct tag pointers seen so far (a few dozen string literals at
+// most); the by-name view is merged from them only when asked for.
 //
 // Wall-clock readings are inherently non-deterministic; everything else
 // in this library is bit-reproducible, so profiler output is kept out of
@@ -27,6 +27,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -50,9 +52,10 @@ public:
     void record(const char* kind, std::uint64_t wall_ns, std::size_t queue_depth,
                 std::size_t cancelled_size);
 
-    const std::map<std::string, EventKindProfile>& by_kind() const noexcept {
-        return by_kind_;
-    }
+    /// Aggregates by kind name. Tags with equal text merge, whatever
+    /// their address; the map is rebuilt when records arrived since the
+    /// last call, which invalidates references into the previous one.
+    const std::map<std::string, EventKindProfile>& by_kind() const;
 
     std::uint64_t total_dispatches() const noexcept { return total_dispatches_; }
     std::uint64_t total_wall_ns() const noexcept { return total_wall_ns_; }
@@ -68,7 +71,9 @@ public:
     void reset();
 
 private:
-    std::map<std::string, EventKindProfile> by_kind_;
+    std::vector<std::pair<const char*, EventKindProfile>> by_tag_;
+    mutable std::map<std::string, EventKindProfile> by_kind_;
+    mutable bool merged_ = true;  ///< by_kind_ reflects by_tag_
     std::uint64_t total_dispatches_ = 0;
     std::uint64_t total_wall_ns_ = 0;
     std::size_t max_queue_depth_ = 0;

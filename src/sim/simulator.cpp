@@ -13,16 +13,51 @@ EventId Simulator::schedule_at(TimePoint when, std::function<void()> action,
     if (when < now_) {
         throw std::logic_error("Simulator::schedule_at in the past");
     }
-    const EventId id = next_id_++;
-    if (kind_ == SchedulerKind::Calendar) {
-        calendar_.push(SchedEvent{when, id, std::move(action), kind});
-    } else {
-        heap_.push(SchedEvent{when, id, std::move(action), kind});
+    if (next_seq_ > std::numeric_limits<std::uint64_t>::max() >> EventKey::kSlotBits) {
+        throw std::length_error("Simulator: event sequence exhausted");
     }
-    return id;
+    std::uint32_t slot;
+    if (!free_slots_.empty()) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    } else {
+        if (slots_.size() > EventKey::kSlotMask) {
+            throw std::length_error("Simulator: too many pending events");
+        }
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    }
+    Slot& s = slots_[slot];
+    s.action = std::move(action);
+    s.kind = kind;
+    s.state = SlotState::Pending;
+    const EventKey key{when, next_seq_++ << EventKey::kSlotBits | slot};
+    ++counts_.scheduled;
+    if (kind_ == SchedulerKind::Calendar) {
+        calendar_.push(key);
+    } else {
+        heap_.push(key);
+    }
+    return EventId{s.gen} << 32 | slot;
 }
 
-bool Simulator::pop_next(TimePoint limit, SchedEvent& out) {
+void Simulator::release(std::uint32_t slot) noexcept {
+    Slot& s = slots_[slot];
+    s.action = nullptr;
+    s.state = SlotState::Free;
+    if (++s.gen == 0) s.gen = 1;
+    free_slots_.push_back(slot);
+}
+
+QueueStats Simulator::queue_stats() const noexcept {
+    QueueStats q = calendar_.stats();
+    q.scheduled = counts_.scheduled;
+    q.popped = counts_.popped;
+    q.cancelled = counts_.cancelled;
+    return q;
+}
+
+bool Simulator::pop_next(TimePoint limit, EventKey& out) {
     if (kind_ == SchedulerKind::Calendar) {
         return calendar_.pop_if(limit, out);
     }
@@ -33,34 +68,47 @@ bool Simulator::pop_next(TimePoint limit, SchedEvent& out) {
 }
 
 bool Simulator::fire_next(TimePoint limit) {
-    SchedEvent ev;
-    while (pop_next(limit, ev)) {
-        if (auto it = cancelled_.find(ev.id); it != cancelled_.end()) {
-            cancelled_.erase(it);
+    EventKey key;
+    while (pop_next(limit, key)) {
+        ++counts_.popped;
+        const std::uint32_t slot = key.slot();
+        Slot& s = slots_[slot];
+        if (s.state == SlotState::Cancelled) {
+            --tombstones_;
+            release(slot);
             continue;
         }
-        now_ = ev.when;
+        // Moved out and released first: the handler may schedule events,
+        // which can reuse this slot or grow the slab under a reference.
+        const std::function<void()> action = std::move(s.action);
+        const char* kind = s.kind;
+        release(slot);
+        if (kind_ == SchedulerKind::Calendar) {
+            // The next event's slot is most likely a cache miss: start
+            // loading it while this handler runs.
+            if (const EventKey* next = calendar_.front_hint()) {
+                __builtin_prefetch(&slots_[next->slot()]);
+            }
+        }
+        now_ = key.when;
         ++events_fired_;
         if (profiler_ != nullptr) {
             // Attach-time guard: the disabled path above pays only the
             // nullptr compare. Queue/cancelled sizes are read after the
             // handler so the gauges see what the handler scheduled.
             const auto t0 = std::chrono::steady_clock::now();
-            ev.action();
+            action();
             const auto t1 = std::chrono::steady_clock::now();
             profiler_->record(
-                ev.kind,
+                kind,
                 static_cast<std::uint64_t>(
                     std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count()),
-                pending_events(), cancelled_.size());
+                pending_events(), tombstones_);
         } else {
-            ev.action();
+            action();
         }
         return true;
     }
-    // Queue drained: every surviving cancellation is stale (its event
-    // already fired before cancel() was called) and can never match again.
-    if (pending_events() == 0) cancelled_.clear();
     return false;
 }
 

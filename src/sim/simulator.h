@@ -5,18 +5,22 @@
 // instant fire in scheduling order (a monotonically increasing sequence
 // number breaks ties), which makes whole-network runs bit-reproducible.
 //
-// The queue behind that contract is selectable at construction (see
-// event_queue.h): the default is the indexed calendar queue, which keeps
-// enqueue/dequeue ~O(1) when a city-scale scenario parks tens of
-// thousands of host timers in flight; SchedulerKind::BinaryHeap is the
-// seed std::priority_queue, kept for equivalence tests and before/after
-// benchmarking. Both dispatch the identical event sequence.
+// Closures live in a slab of slots reused through a LIFO free list; the
+// priority structure orders 16-byte keys that point into it (see
+// event_queue.h). An EventId names a slot and the slot's generation, so
+// cancel() is an index and a compare: it leaves a tombstone that is
+// freed when its key pops, and a stale id (its event already fired)
+// simply fails the generation check.
+//
+// The priority structure is selectable at construction: the default is
+// the indexed calendar queue; SchedulerKind::BinaryHeap orders the same
+// keys with std::priority_queue, kept for equivalence tests and
+// before/after benchmarking. Both dispatch the identical event sequence.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "net/pool.h"
@@ -29,9 +33,9 @@ namespace mip::sim {
 class SimProfiler;
 
 /// Which priority structure orders the event queue. The choice never
-/// changes behaviour — (when, id) is a total order — only speed.
+/// changes behaviour — (when, sequence) is a total order — only speed.
 enum class SchedulerKind {
-    BinaryHeap,  ///< seed scheduler: std::priority_queue, O(log n)
+    BinaryHeap,  ///< std::priority_queue over the same keys, O(log n)
     Calendar,    ///< indexed calendar queue, amortized O(1) (default)
 };
 
@@ -58,13 +62,20 @@ public:
         return schedule_at(now_ + delay, std::move(action), kind);
     }
 
-    /// Cancels a pending event. Cancelling an already-fired or unknown id
-    /// is a harmless no-op (timers race with the events that cancel them).
-    /// Stale ids — cancelled after their event fired — are swept whenever
-    /// the queue drains, so the set cannot grow without bound.
+    /// Cancels a pending event and releases its closure. Cancelling an
+    /// already-fired, already-cancelled or unknown id is a harmless no-op
+    /// (timers race with the events that cancel them) and leaves nothing
+    /// behind.
     void cancel(EventId id) {
-        if (id == 0 || id >= next_id_) return;  // never scheduled
-        cancelled_.insert(id);
+        const std::uint64_t slot = id & 0xffff'ffffu;
+        if (slot >= slots_.size()) return;
+        Slot& s = slots_[slot];
+        if (s.gen != id >> 32 || s.state != SlotState::Pending) return;
+        s.state = SlotState::Cancelled;
+        ++tombstones_;
+        ++counts_.cancelled;
+        // Destroyed last: a closure's destructor may re-enter the simulator.
+        const std::function<void()> doomed = std::move(s.action);
     }
 
     /// Runs until the queue drains or @p max_events fire. Returns the
@@ -105,12 +116,17 @@ public:
     RecordArena& record_arena() noexcept { return record_arena_; }
     const RecordArena& record_arena() const noexcept { return record_arena_; }
 
+    /// Queued events, cancelled ones not yet popped included.
     std::size_t pending_events() const noexcept {
         return kind_ == SchedulerKind::Calendar ? calendar_.size() : heap_.size();
     }
-    /// Cancellations not yet matched to their event (pending or stale).
+    /// Cancelled events still queued. Stale cancellations never count.
     /// Observability hook for the leak regression tests.
-    std::size_t cancelled_backlog() const noexcept { return cancelled_.size(); }
+    std::size_t cancelled_backlog() const noexcept { return tombstones_; }
+
+    /// Deterministic work counters of the event queue over the
+    /// simulator's lifetime (monotone, never reset).
+    QueueStats queue_stats() const noexcept;
 
     /// Cumulative count of events dispatched over the simulator's lifetime
     /// (bench_perf's events/sec numerator; monotone, never reset).
@@ -126,14 +142,28 @@ public:
 
 private:
     struct Later {
-        bool operator()(const SchedEvent& a, const SchedEvent& b) const noexcept {
+        bool operator()(const EventKey& a, const EventKey& b) const noexcept {
             return fires_before(b, a);
         }
     };
 
-    /// Moves the earliest event with timestamp <= @p limit into @p out,
+    enum class SlotState : std::uint8_t { Free, Pending, Cancelled };
+
+    /// One event's closure and profiler tag, addressed by its key's slot.
+    /// Cache-line sized, so reading one on pop costs one miss, not two.
+    struct alignas(64) Slot {
+        std::function<void()> action;
+        const char* kind = nullptr;
+        std::uint32_t gen = 1;  ///< bumped on release, so never 0 in an EventId
+        SlotState state = SlotState::Free;
+    };
+
+    /// Returns @p slot to the free list; ids naming it go stale.
+    void release(std::uint32_t slot) noexcept;
+
+    /// Moves the earliest key with timestamp <= @p limit into @p out,
     /// whichever queue holds it. False when none qualifies.
-    bool pop_next(TimePoint limit, SchedEvent& out);
+    bool pop_next(TimePoint limit, EventKey& out);
 
     /// Fires the next non-cancelled event with timestamp <= @p limit.
     /// Returns false when none qualifies (cancelled events up to the limit
@@ -141,7 +171,7 @@ private:
     bool fire_next(TimePoint limit);
 
     TimePoint now_ = 0;
-    EventId next_id_ = 1;
+    std::uint64_t next_seq_ = 0;
     std::uint64_t next_packet_id_ = 1;
     std::uint32_t next_mac_id_ = 1;
     std::uint16_t next_ping_ident_ = 1;
@@ -150,9 +180,12 @@ private:
     std::uint64_t events_fired_ = 0;
     SimProfiler* profiler_ = nullptr;
     SchedulerKind kind_;
-    std::priority_queue<SchedEvent, std::vector<SchedEvent>, Later> heap_;
+    std::priority_queue<EventKey, std::vector<EventKey>, Later> heap_;
     CalendarQueue calendar_;
-    std::unordered_set<EventId> cancelled_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;  ///< LIFO: reuse the slot still in cache
+    std::size_t tombstones_ = 0;
+    QueueStats counts_;  ///< scheduled, popped, cancelled
 };
 
 }  // namespace mip::sim

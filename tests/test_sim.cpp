@@ -265,10 +265,24 @@ TEST(Simulator, StaleCancellationsSweptWhenQueueDrains) {
     const EventId id = s.schedule_in(milliseconds(1), [] {});
     s.run();
     s.cancel(id);  // the event already fired: this cancellation is stale
-    EXPECT_EQ(s.cancelled_backlog(), 1u);
+    EXPECT_EQ(s.cancelled_backlog(), 0u) << "a stale id fails the generation check";
     s.schedule_in(milliseconds(1), [] {});
-    s.run();  // queue drains -> stale ids swept, no unbounded growth
+    s.run();
     EXPECT_EQ(s.cancelled_backlog(), 0u);
+}
+
+TEST(Simulator, StaleCancellationsDoNotLeakBesideAPeriodicTimer) {
+    // A world with a periodic timer never drains its queue, so stale
+    // cancellations must not wait for a drain to be forgotten.
+    Simulator s;
+    std::function<void()> tick = [&] { s.schedule_in(milliseconds(10), tick); };
+    s.schedule_in(milliseconds(10), tick);
+    std::vector<EventId> fired;
+    for (int i = 0; i < 100'000; ++i) fired.push_back(s.schedule_in(milliseconds(1), [] {}));
+    s.run_until(milliseconds(5));
+    for (const EventId id : fired) s.cancel(id);
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+    EXPECT_EQ(s.pending_events(), 1u);
 }
 
 TEST(Simulator, CancellationErasedWhenItsEventIsPurged) {
@@ -301,13 +315,15 @@ TEST(Simulator, CancelOfNeverScheduledIdIsIgnoredOutright) {
 
 namespace {
 
-/// Pops everything <= limit and returns the (when, id) sequence.
-std::vector<std::pair<TimePoint, EventId>> drain(CalendarQueue& q,
-                                                 TimePoint limit =
-                                                     std::numeric_limits<TimePoint>::max()) {
-    std::vector<std::pair<TimePoint, EventId>> out;
-    SchedEvent ev;
-    while (q.pop_if(limit, ev)) out.emplace_back(ev.when, ev.id);
+using Order = std::uint64_t;
+
+/// Pops everything <= limit and returns the (when, order) sequence.
+std::vector<std::pair<TimePoint, Order>> drain(CalendarQueue& q,
+                                               TimePoint limit =
+                                                   std::numeric_limits<TimePoint>::max()) {
+    std::vector<std::pair<TimePoint, Order>> out;
+    EventKey key;
+    while (q.pop_if(limit, key)) out.emplace_back(key.when, key.order);
     return out;
 }
 
@@ -317,11 +333,11 @@ TEST(CalendarQueue, PopsInTotalEventOrder) {
     CalendarQueue q;
     std::mt19937_64 rng(42);
     // Timestamps spanning ns to minutes: wildly non-uniform bucket load.
-    std::vector<std::pair<TimePoint, EventId>> expect;
-    for (EventId id = 1; id <= 2000; ++id) {
+    std::vector<std::pair<TimePoint, Order>> expect;
+    for (Order id = 1; id <= 2000; ++id) {
         const TimePoint when =
             static_cast<TimePoint>(rng() % static_cast<std::uint64_t>(seconds(90)));
-        q.push({when, id, [] {}, nullptr});
+        q.push({when, id});
         expect.emplace_back(when, id);
     }
     std::sort(expect.begin(), expect.end());
@@ -332,31 +348,31 @@ TEST(CalendarQueue, PopsInTotalEventOrder) {
 
 TEST(CalendarQueue, SameInstantPopsInIdOrder) {
     CalendarQueue q;
-    for (EventId id = 10; id >= 1; --id) q.push({seconds(1), id, [] {}, nullptr});
+    for (Order id = 10; id >= 1; --id) q.push({seconds(1), id});
     const auto got = drain(q);
     ASSERT_EQ(got.size(), 10u);
     for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].second, static_cast<EventId>(i + 1));
+        EXPECT_EQ(got[i].second, static_cast<Order>(i + 1));
     }
 }
 
 TEST(CalendarQueue, PopIfRespectsLimit) {
     CalendarQueue q;
-    q.push({seconds(5), 1, [] {}, nullptr});
-    SchedEvent ev;
-    EXPECT_FALSE(q.pop_if(seconds(4), ev)) << "earliest event is beyond the limit";
+    q.push({seconds(5), 1});
+    EventKey key;
+    EXPECT_FALSE(q.pop_if(seconds(4), key)) << "earliest event is beyond the limit";
     EXPECT_EQ(q.size(), 1u);
-    EXPECT_TRUE(q.pop_if(seconds(5), ev));
-    EXPECT_EQ(ev.id, 1u);
+    EXPECT_TRUE(q.pop_if(seconds(5), key));
+    EXPECT_EQ(key.order, 1u);
 }
 
 TEST(CalendarQueue, FarFutureEventDoesNotBlockNearOnes) {
     CalendarQueue q;
     // A far-future event hashes into some bucket modulo the bucket count;
     // the year guard must defer it past every nearer event.
-    q.push({seconds(3600), 1, [] {}, nullptr});
-    for (EventId id = 2; id <= 64; ++id) {
-        q.push({milliseconds(static_cast<std::int64_t>(id)), id, [] {}, nullptr});
+    q.push({seconds(3600), 1});
+    for (Order id = 2; id <= 64; ++id) {
+        q.push({milliseconds(static_cast<std::int64_t>(id)), id});
     }
     const auto got = drain(q);
     ASSERT_EQ(got.size(), 64u);
@@ -372,22 +388,22 @@ TEST(CalendarQueue, InterleavedPushPopStaysOrdered) {
     // grows and shrinks happening along the way.
     CalendarQueue q;
     std::mt19937_64 rng(7);
-    EventId next_id = 1;
+    Order next_id = 1;
     TimePoint now = 0;
-    std::vector<std::pair<TimePoint, EventId>> reference;  // what a sorted pop yields
+    std::vector<std::pair<TimePoint, Order>> reference;  // what a sorted pop yields
     for (int i = 0; i < 200; ++i) {
-        q.push({static_cast<TimePoint>(rng() % seconds(10)), next_id, [] {}, nullptr});
+        q.push({static_cast<TimePoint>(rng() % seconds(10)), next_id});
         ++next_id;
     }
-    std::vector<std::pair<TimePoint, EventId>> popped;
-    SchedEvent ev;
-    while (q.pop_if(std::numeric_limits<TimePoint>::max(), ev)) {
-        EXPECT_GE(ev.when, now) << "time went backwards";
-        now = ev.when;
-        popped.emplace_back(ev.when, ev.id);
+    std::vector<std::pair<TimePoint, Order>> popped;
+    EventKey key;
+    while (q.pop_if(std::numeric_limits<TimePoint>::max(), key)) {
+        EXPECT_GE(key.when, now) << "time went backwards";
+        now = key.when;
+        popped.emplace_back(key.when, key.order);
         if (next_id <= 5000 && rng() % 3 != 0) {
             const TimePoint when = now + static_cast<TimePoint>(rng() % seconds(2));
-            q.push({when, next_id, [] {}, nullptr});
+            q.push({when, next_id});
             ++next_id;
         }
     }
@@ -431,4 +447,136 @@ TEST(Simulator, HeapAndCalendarFireIdenticalSequences) {
     EXPECT_EQ(heap, calendar);
     EXPECT_EQ(std::count(heap.begin(), heap.end(), 9999), 0)
         << "cancelled events must not fire under either scheduler";
+}
+
+// ---- queue work bounds and the reference oracle -----------------------------
+
+#include <queue>
+#include <tuple>
+
+namespace {
+
+// Work bounds for the adversarial cases below (measured at most 2.4 shifts
+// and 0.5 scans). A day width taken from the whole population's span put
+// the near-term keys of these cases into one bucket, costing thousands of
+// shifts per push.
+constexpr double kMaxShiftsPerPush = 4.0;
+constexpr double kMaxScansPerPop = 1.5;
+
+double per(std::uint64_t work, std::size_t ops) {
+    return static_cast<double>(work) / static_cast<double>(ops);
+}
+
+}  // namespace
+
+TEST(CalendarQueue, DistantTimerDoesNotWidenTheDays) {
+    // One 300 s lifetime timer beside 10k events 1 us apart: the days must
+    // follow the dense head, not the span to the timer.
+    CalendarQueue q;
+    q.push({seconds(300), 0});
+    constexpr Order kEvents = 10'000;
+    for (Order i = 1; i <= kEvents; ++i) q.push({microseconds(1) * static_cast<Duration>(i), i});
+    const auto got = drain(q);
+    ASSERT_EQ(got.size(), kEvents + 1);
+    for (std::size_t i = 0; i + 1 < got.size(); ++i) EXPECT_EQ(got[i].second, i + 1);
+    EXPECT_EQ(got.back().second, 0u) << "the timer pops last";
+    EXPECT_LE(per(q.stats().shifts, kEvents + 1), kMaxShiftsPerPush);
+    EXPECT_LE(per(q.stats().scans, kEvents + 1), kMaxScansPerPop);
+}
+
+TEST(CalendarQueue, SameInstantBurstStaysCheap) {
+    // A setup burst: 10k events at one instant, then each pop schedules a
+    // follow-up a little later, as the burst's handlers do.
+    CalendarQueue q;
+    constexpr Order kEvents = 10'000;
+    Order next = 1;
+    for (; next <= kEvents; ++next) q.push({seconds(1), next});
+    std::size_t pops = 0;
+    EventKey key;
+    TimePoint last = 0;
+    Order last_order = 0;
+    while (q.pop_if(std::numeric_limits<TimePoint>::max(), key)) {
+        ASSERT_TRUE(key.when > last || (key.when == last && key.order > last_order));
+        last = key.when;
+        last_order = key.order;
+        ++pops;
+        if (next <= 2 * kEvents) q.push({key.when + milliseconds(1), next++});
+    }
+    EXPECT_EQ(pops, 2 * kEvents);
+    EXPECT_LE(per(q.stats().shifts, 2 * kEvents), kMaxShiftsPerPush);
+    EXPECT_LE(per(q.stats().scans, pops), kMaxScansPerPop);
+}
+
+TEST(Simulator, RandomPushPopCancelMatchesOracle) {
+    // Random interleaved schedule, dispatch and cancel — same-instant ties,
+    // microsecond to second delays, far-future outliers, stale cancels —
+    // checked dispatch for dispatch against a std::priority_queue of
+    // (when, schedule order) that skips cancelled entries when they pop.
+    using Entry = std::tuple<TimePoint, std::uint64_t>;  // when, schedule order
+    for (const SchedulerKind kind : {SchedulerKind::Calendar, SchedulerKind::BinaryHeap}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " heap "
+                                            << (kind == SchedulerKind::BinaryHeap));
+            Simulator s(kind);
+            std::mt19937_64 rng(seed);
+            std::priority_queue<Entry, std::vector<Entry>, std::greater<>> oracle;
+            std::vector<EventId> ids;           // by schedule order
+            std::vector<bool> cancelled;        // by schedule order
+            std::size_t live_cancelled = 0;     // cancelled and still queued
+            std::uint64_t fired = 0;
+            std::uint64_t dispatched = 0;
+            const auto delay = [&rng]() -> Duration {
+                switch (rng() % 8) {
+                    case 0: return 0;
+                    case 1: return seconds(300) + static_cast<Duration>(rng() % seconds(3600));
+                    case 2: return static_cast<Duration>(rng() % seconds(2));
+                    default: return static_cast<Duration>(rng() % microseconds(500));
+                }
+            };
+            for (int step = 0; step < 6000; ++step) {
+                const std::uint64_t op = rng() % 10;
+                if (op < 5 || oracle.empty()) {
+                    const TimePoint when = s.now() + delay();
+                    const std::uint64_t order = ids.size();
+                    ids.push_back(s.schedule_at(when, [&fired, order] { fired = order; }));
+                    cancelled.push_back(false);
+                    oracle.emplace(when, order);
+                } else if (op < 7) {
+                    // Any id ever handed out: pending, fired or cancelled.
+                    const std::uint64_t order = rng() % ids.size();
+                    s.cancel(ids[order]);
+                    if (!cancelled[order]) {
+                        cancelled[order] = true;
+                        ++live_cancelled;
+                    }
+                } else {
+                    while (!oracle.empty() && cancelled[std::get<1>(oracle.top())]) {
+                        oracle.pop();
+                        --live_cancelled;
+                    }
+                    if (oracle.empty()) {
+                        EXPECT_EQ(s.run(1), 0u);
+                        continue;
+                    }
+                    const std::uint64_t expected = std::get<1>(oracle.top());
+                    const TimePoint when = std::get<0>(oracle.top());
+                    oracle.pop();
+                    ASSERT_EQ(s.run(1), 1u);
+                    ++dispatched;
+                    ASSERT_EQ(fired, expected);
+                    ASSERT_EQ(s.now(), when);
+                    cancelled[expected] = true;  // fired: later cancels are stale
+                }
+                ASSERT_EQ(s.pending_events(), oracle.size());
+                ASSERT_EQ(s.cancelled_backlog(), live_cancelled);
+            }
+            EXPECT_GT(dispatched, 1000u);
+            const QueueStats stats = s.queue_stats();
+            EXPECT_EQ(stats.scheduled, ids.size());
+            if (kind == SchedulerKind::Calendar) {
+                EXPECT_LE(stats.shifts_per_push(), kMaxShiftsPerPush);
+                EXPECT_LE(stats.scans_per_pop(), kMaxScansPerPop);
+            }
+        }
+    }
 }
