@@ -29,14 +29,9 @@
 // trendline.
 #include "cc_leg.h"
 
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
-#include <thread>
 
 #include "common.h"
-#include "sweep/sweep.h"
 
 using namespace mip;
 using namespace mip::bench_cc;
@@ -85,12 +80,6 @@ std::vector<GridPoint> grid(bool smoke) {
     return g;
 }
 
-double p95(std::vector<double> v) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    return v[static_cast<std::size_t>(0.95 * static_cast<double>(v.size() - 1))];
-}
-
 sweep::JobSpec leg_job(std::uint64_t id, const GridPoint& g, bool smoke) {
     sweep::JobSpec spec;
     spec.id = id;
@@ -119,13 +108,12 @@ sweep::JobSpec leg_job(std::uint64_t id, const GridPoint& g, bool smoke) {
                 r.queue_delay_ms.push_back(sim::to_milliseconds(queue_delay));
             });
         };
-        obs.on_complete = [&jr, &p](core::World& w, LegResult& r) {
+        obs.on_complete = [&jr](core::World& w, LegResult& r) {
             jr.metrics = w.metrics.snapshot("abl_cc_handoff", r.label, w.sim.now());
             jr.decision_count = w.decisions.size();
             const net::BufferPool::Stats& pool = w.sim.buffer_pool().stats();
             jr.report["pool_acquires"] = pool.acquires;
             jr.report["pool_reuses"] = pool.reuses;
-            (void)p;
         };
 
         const LegResult r = run_leg(p, obs);
@@ -138,7 +126,7 @@ sweep::JobSpec leg_job(std::uint64_t id, const GridPoint& g, bool smoke) {
         jr.report["segments"] = static_cast<std::uint64_t>(r.segments);
         jr.report["retransmissions"] = static_cast<std::uint64_t>(r.retransmissions);
         jr.report["frames_lost"] = static_cast<std::uint64_t>(r.frames_lost);
-        jr.report["p95_queue_delay_ms"] = p95(r.queue_delay_ms);
+        jr.report["p95_queue_delay_ms"] = bench::percentile(r.queue_delay_ms, 0.95);
         jr.report["rtt_samples"] = static_cast<std::uint64_t>(r.queue_delay_ms.size());
         jr.report["sim_events"] = r.sim_events;
         jr.report["rendered"] = render_leg(r);
@@ -156,60 +144,6 @@ std::vector<sweep::JobSpec> sweep_jobs(bool smoke) {
     return jobs;
 }
 
-/// Loads the pre-refactor golden: "<full|smoke> <rendered leg>" lines.
-std::map<std::string, std::string> load_golden(bool smoke) {
-    std::map<std::string, std::string> lines;  // leg label -> rendered
-    const std::string path = std::string(CC_GOLDEN_DIR) + "/cc_static.txt";
-    std::ifstream in(path);
-    const std::string want = smoke ? "smoke" : "full";
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#') continue;
-        const auto sp = line.find(' ');
-        if (sp == std::string::npos || line.substr(0, sp) != want) continue;
-        const std::string rendered = line.substr(sp + 1);
-        // rendered starts "leg=<label> ..."
-        const auto sp2 = rendered.find(' ');
-        lines[rendered.substr(4, sp2 - 4)] = rendered;
-    }
-    return lines;
-}
-
-void merge_into_perf_report(const bench::HarnessOptions& opt, obs::JsonValue::Object cc) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) return;
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
-
-    obs::JsonValue doc;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            try {
-                doc = obs::JsonValue::parse(buf.str());
-            } catch (const obs::JsonError&) {
-                doc = obs::JsonValue();
-            }
-        }
-    }
-    if (!doc.is_object()) {
-        obs::JsonValue::Object fresh;
-        fresh["schema_version"] = 3;
-        fresh["kind"] = "bench_perf";
-        fresh["smoke"] = opt.smoke;
-        fresh["scenarios"] = obs::JsonValue::Array{};
-        doc = obs::JsonValue(std::move(fresh));
-    }
-    doc["hardware_concurrency"] =
-        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
-    doc["cc"] = obs::JsonValue(std::move(cc));
-
-    std::ofstream f(path);
-    f << doc.dump(2) << "\n";
-    std::printf("merged cc block into %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -225,10 +159,11 @@ int main(int argc, char** argv) {
         "hold a measurably smaller standing queue than the loss controller\n"
         "wherever the path is genuinely congested.");
 
-    // Section 1: the serial reference sweep.
-    const std::vector<sweep::JobSpec> jobs = sweep_jobs(opt.smoke);
-    const sweep::SweepRunner serial_runner({.jobs = 1});
-    const sweep::SweepOutcome serial = serial_runner.run(sweep_jobs(opt.smoke));
+    // Sections 1 and 3: the leg sweep and its cross-`--jobs` check.
+    const bench::SweepRun sweep = bench::run_sweep(
+        opt, "abl_cc_handoff",
+        [&](const bench::HarnessOptions&) { return sweep_jobs(opt.smoke); });
+    const sweep::SweepOutcome& serial = sweep.outcome;
 
     std::printf("%-26s %5s %9s %7s %5s %5s %10s %8s\n", "leg", "done", "dur(ms)",
                 "acked", "retx", "lost", "p95 qd(ms)", "samples");
@@ -244,7 +179,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < serial.results.size(); ++i) {
         const sweep::JobResult& r = serial.results[i];
         if (!r.ok) {
-            std::printf("job %s failed: %s\n", jobs[i].label.c_str(), r.error.c_str());
+            std::printf("job %s failed: %s\n", serial.specs[i].label.c_str(),
+                        r.error.c_str());
             ++failures;
             continue;
         }
@@ -259,20 +195,18 @@ int main(int argc, char** argv) {
         pool_acquires += static_cast<std::uint64_t>(row.at("pool_acquires").as_number());
         pool_reuses += static_cast<std::uint64_t>(row.at("pool_reuses").as_number());
         decision_events += r.decision_count;
-        rendered[jobs[i].label] = row.at("rendered").as_string();
+        rendered[serial.specs[i].label] = row.at("rendered").as_string();
         std::printf("%-26s %5s %9.0f %7.0f %5.0f %5.0f %10.2f %8.0f\n",
-                    jobs[i].label.c_str(), bench::yn(row.at("completed").as_bool()),
+                    serial.specs[i].label.c_str(), bench::yn(row.at("completed").as_bool()),
                     row.at("duration_ms").as_number(),
                     row.at("bytes_acked").as_number(),
                     row.at("retransmissions").as_number(),
                     row.at("frames_lost").as_number(), q,
                     row.at("rtt_samples").as_number());
     }
-    bench::export_text(opt.metrics_dir, "abl_cc_handoff", "sweep", ".json",
-                       serial.report("abl_cc_handoff", "sweep").dump(2) + "\n");
 
     // Section 2: the golden anchor — static legs vs the pre-refactor run.
-    const std::map<std::string, std::string> golden = load_golden(opt.smoke);
+    const std::map<std::string, std::string> golden = load_golden(CC_GOLDEN_DIR, opt.smoke);
     int golden_mismatch = 0;
     for (const auto& [label, line] : rendered) {
         if (label.rfind("static/", 0) != 0) continue;
@@ -288,24 +222,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\ngolden anchor: %zu static leg(s), %d mismatch(es)\n",
                 golden.size(), golden_mismatch);
-
-    // Section 3: byte-identity at --jobs >= 2.
-    const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
-    const sweep::SweepRunner par_runner({.jobs = compare_jobs});
-    const sweep::SweepOutcome par = par_runner.run(sweep_jobs(opt.smoke));
-    bool identical = par.report("abl_cc_handoff", "sweep").dump(2) ==
-                         serial.report("abl_cc_handoff", "sweep").dump(2) &&
-                     par.results.size() == serial.results.size();
-    if (identical) {
-        for (std::size_t i = 0; i < par.results.size(); ++i) {
-            if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                identical = false;
-                break;
-            }
-        }
-    }
-    std::printf("sweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
-                compare_jobs, bench::yn(identical));
 
     // Section 4: the verdict.
     int queue_fail = 0;
@@ -340,7 +256,7 @@ int main(int argc, char** argv) {
 
     obs::JsonValue::Object block;
     block["smoke"] = opt.smoke;
-    block["legs"] = static_cast<std::uint64_t>(jobs.size());
+    block["legs"] = serial.specs.size();
     block["events"] = total_events;
     block["events_per_sec"] =
         serial.wall_ms > 0 ? static_cast<double>(total_events) / (serial.wall_ms / 1e3)
@@ -352,41 +268,27 @@ int main(int argc, char** argv) {
             ? static_cast<double>(pool_reuses) / static_cast<double>(pool_acquires)
             : 0.0;
     block["decision_events"] = decision_events;
-    block["artifacts_identical"] = identical;
+    block["artifacts_identical"] = sweep.identical;
     block["golden_mismatches"] = static_cast<std::uint64_t>(golden_mismatch);
-    merge_into_perf_report(opt, std::move(block));
+    bench::merge_perf_block(opt, "cc", std::move(block));
 
-    int rc = 0;
-    if (failures > 0) {
-        std::printf("\nFAIL: %d leg job(s) errored.\n", failures);
-        rc = 1;
-    }
-    if (golden_mismatch > 0) {
-        std::printf("\nFAIL: %d static leg(s) diverged from the pre-refactor golden "
-                    "(bench/golden/cc_static.txt) — the default transport::Config "
-                    "must stay bit-identical.\n", golden_mismatch);
-        rc = 1;
-    }
-    if (queue_fail > 0) {
-        std::printf("\nFAIL: %d squeeze row(s) where the delay-gradient controller "
-                    "did not hold a measurably smaller standing queue than the "
-                    "loss-rate controller.\n", queue_fail);
-        rc = 1;
-    }
-    if (clean_fail > 0) {
-        std::printf("\nFAIL: %d clean leg(s) failed to complete under an adaptive "
-                    "controller.\n", clean_fail);
-        rc = 1;
-    }
-    if (!identical) {
-        std::printf("\nFAIL: sweep artifacts differ between jobs=1 and jobs=%d.\n",
-                    compare_jobs);
-        rc = 1;
-    }
-    if (rc == 0) {
-        std::printf("\nAll legs in contract: static pinned to the seed transport, "
-                    "delay < loss standing queue on every congested row, artifacts "
-                    "byte-identical at any --jobs.\n");
-    }
-    return rc;
+    bench::Verdict verdict;
+    verdict.check(failures == 0, "%d leg job(s) errored.", failures);
+    verdict.check(golden_mismatch == 0,
+                  "%d static leg(s) diverged from the pre-refactor golden "
+                  "(bench/golden/cc_static.txt) — the default transport::Config must "
+                  "stay bit-identical.",
+                  golden_mismatch);
+    verdict.check(queue_fail == 0,
+                  "%d squeeze row(s) where the delay-gradient controller did not hold a "
+                  "measurably smaller standing queue than the loss-rate controller.",
+                  queue_fail);
+    verdict.check(clean_fail == 0,
+                  "%d clean leg(s) failed to complete under an adaptive controller.",
+                  clean_fail);
+    verdict.check(sweep.identical, "sweep artifacts differ between jobs=1 and jobs=%d.",
+                  sweep.compare_jobs);
+    return verdict.exit_status(
+        "All legs in contract: static pinned to the seed transport, delay < loss "
+        "standing queue on every congested row, artifacts byte-identical at any --jobs.");
 }

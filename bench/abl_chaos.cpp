@@ -3,38 +3,26 @@
 // within a bounded window after the last fault clears.
 //
 // The per-seed scenario lives in chaos_sweep.h (shared with bench_perf's
-// sweep-scaling measurement); this binary fans the seeds out across a
-// sweep::SweepRunner thread pool (--jobs N, default serial) and prints
-// the figure from the deterministic merged results — the table, the
-// per-class aggregates and the exported sweep report are byte-identical
-// for any --jobs value.
+// sweep-scaling measurement); this binary runs the seeds through
+// bench::run_sweep (a serial reference run plus a --jobs N re-run that
+// must reproduce it byte for byte) and prints the figure from the
+// deterministic merged results.
 //
 // Exit status (PR 8 adds the monitor contract): 0 iff every seed
 // converged AND tripped at least one health monitor matching its fault
 // class before recovery, AND a fault-free control leg (same world, same
-// probes, monitors armed, no injector) produced zero trips — CI runs
+// probes, monitors armed, no injector) produced zero trips, AND the
+// --jobs re-run's artifacts matched the serial run — CI runs
 // `abl_chaos --smoke` in the default job, the full sweep with --jobs
 // under sanitizers. Every trip captures an incident bundle; with a
 // metrics dir set the bundles are exported and schema-validated by
 // bench_smoke / uploaded by CI on failure.
 #include "chaos_sweep.h"
 
-#include <algorithm>
 #include <map>
 #include <vector>
 
 using namespace mip;
-
-namespace {
-
-double percentile(std::vector<double> v, double p) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-    return v[idx];
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
     const bench::HarnessOptions opt = bench::parse_harness_options(&argc, argv);
@@ -51,15 +39,17 @@ int main(int argc, char** argv) {
     // Fault-free control leg: identical world, probes and armed monitors,
     // but the plan is never injected. Any trip here is a false positive
     // and fails the bench — the detectors must stay quiet on a clean run.
-    const bench::chaos::SeedOutcome control =
-        bench::chaos::run_seed(1, opt.smoke, opt, nullptr, /*inject=*/false);
-    std::printf("control (no faults): %llu monitor trip(s)%s\n\n",
-                static_cast<unsigned long long>(control.monitor_trips),
-                control.monitor_trips == 0 ? "" : "  <-- FALSE TRIPS");
+    const auto control_trips = static_cast<unsigned long long>(
+        bench::chaos::run_seed(1, opt.smoke, opt, /*inject=*/false)
+            .report.at("monitor_trips")
+            .as_number());
+    std::printf("control (no faults): %llu monitor trip(s)%s\n\n", control_trips,
+                control_trips == 0 ? "" : "  <-- FALSE TRIPS");
 
-    const sweep::SweepRunner runner({.jobs = opt.jobs});
-    const sweep::SweepOutcome outcome =
-        runner.run(bench::chaos::seed_jobs(seeds, opt.smoke, opt));
+    const bench::SweepRun sweep =
+        bench::run_sweep(opt, "abl_chaos", [&](const bench::HarnessOptions& o) {
+            return bench::chaos::seed_jobs(seeds, opt.smoke, o);
+        });
 
     std::printf("%-6s  %5s  %13s  %-12s  %9s  %12s  %6s  %5s  %8s  %13s\n", "seed",
                 "plan", "last-clear(s)", "last-fault", "converged", "recovery(ms)",
@@ -68,7 +58,7 @@ int main(int argc, char** argv) {
     std::vector<double> all;
     int failures = 0;
     int unmatched = 0;
-    for (const sweep::JobResult& r : outcome.results) {
+    for (const sweep::JobResult& r : sweep.outcome.results) {
         if (!r.ok) {
             std::printf("job failed: %s\n", r.error.c_str());
             ++failures;
@@ -97,37 +87,24 @@ int main(int argc, char** argv) {
     std::printf("%-12s  %5s  %11s  %9s\n", "class", "seeds", "median(ms)", "p95(ms)");
     for (const auto& [cls, times] : by_class) {
         std::printf("%-12s  %5zu  %11.1f  %9.1f\n", cls.c_str(), times.size(),
-                    percentile(times, 0.5), percentile(times, 0.95));
+                    bench::percentile(times, 0.5), bench::percentile(times, 0.95));
     }
     std::printf("%-12s  %5zu  %11.1f  %9.1f\n", "(all)", all.size(),
-                percentile(all, 0.5), percentile(all, 0.95));
-    std::printf("\nsweep: %d seed(s) on %d job(s), %.1f ms wall\n", seeds,
-                outcome.jobs_used, outcome.wall_ms);
+                bench::percentile(all, 0.5), bench::percentile(all, 0.95));
+    std::printf("\nsweep: %d seed(s), %.1f ms wall serial\n", seeds,
+                sweep.outcome.wall_ms);
 
-    // The deterministic merged report (docs/TRACE_FORMAT.md §8) — same
-    // bytes for any --jobs value; bench_smoke validates it.
-    bench::export_text(opt.metrics_dir, "abl_chaos", "sweep", ".json",
-                       outcome.report("abl_chaos", "sweep").dump(2) + "\n");
-
-    int rc = 0;
-    if (failures > 0) {
-        std::printf("\nFAIL: %d/%d seeds did not converge inside the bound.\n", failures,
-                    seeds);
-        rc = 1;
-    }
-    if (unmatched > 0) {
-        std::printf("\nFAIL: %d/%d seeds tripped no matching monitor before recovery.\n",
-                    unmatched, seeds);
-        rc = 1;
-    }
-    if (control.monitor_trips > 0) {
-        std::printf("\nFAIL: fault-free control leg tripped %llu monitor(s).\n",
-                    static_cast<unsigned long long>(control.monitor_trips));
-        rc = 1;
-    }
-    if (rc == 0) {
-        std::printf("\nAll %d seeds converged; every seed tripped a matching monitor, "
-                    "control leg clean.\n", seeds);
-    }
-    return rc;
+    bench::Verdict verdict;
+    verdict.check(failures == 0, "%d/%d seeds did not converge inside the bound.",
+                  failures, seeds);
+    verdict.check(unmatched == 0,
+                  "%d/%d seeds tripped no matching monitor before recovery.", unmatched,
+                  seeds);
+    verdict.check(control_trips == 0, "fault-free control leg tripped %llu monitor(s).",
+                  control_trips);
+    verdict.check(sweep.identical, "sweep artifacts differ between jobs=1 and jobs=%d.",
+                  sweep.compare_jobs);
+    return verdict.exit_status(
+        "All seeds converged; every seed tripped a matching monitor, control leg "
+        "clean, artifacts byte-identical at any --jobs.");
 }

@@ -28,11 +28,6 @@
 // TSan; the "overload" block lands in BENCH_perf.json for the trendline.
 #include "overload_sweep.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <thread>
-
 using namespace mip;
 
 namespace {
@@ -41,42 +36,6 @@ namespace {
 /// tenant renews a 2 s lifetime over the ~5+ s measured window, so fewer
 /// than 2 accepted renewals means the fast-path failed.
 constexpr std::size_t kRenewalFloor = 2;
-
-void merge_into_perf_report(const bench::HarnessOptions& opt,
-                            obs::JsonValue::Object overload) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) return;
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
-
-    obs::JsonValue doc;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            try {
-                doc = obs::JsonValue::parse(buf.str());
-            } catch (const obs::JsonError&) {
-                doc = obs::JsonValue();
-            }
-        }
-    }
-    if (!doc.is_object()) {
-        obs::JsonValue::Object fresh;
-        fresh["schema_version"] = 3;
-        fresh["kind"] = "bench_perf";
-        fresh["smoke"] = opt.smoke;
-        fresh["scenarios"] = obs::JsonValue::Array{};
-        doc = obs::JsonValue(std::move(fresh));
-    }
-    doc["hardware_concurrency"] =
-        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
-    doc["overload"] = obs::JsonValue(std::move(overload));
-
-    std::ofstream f(path);
-    f << doc.dump(2) << "\n";
-    std::printf("merged overload block into %s\n", path.c_str());
-}
 
 }  // namespace
 
@@ -93,10 +52,11 @@ int main(int argc, char** argv) {
         "into an unbounded queue. Then the same fight at city scale: an\n"
         "agent flap and its homed population storming back.");
 
-    // Section 1: the storm sweep (serial reference run exports artifacts).
-    const sweep::SweepRunner serial_runner({.jobs = 1});
-    const sweep::SweepOutcome serial =
-        serial_runner.run(bench::overload::seed_jobs(seeds, opt.smoke, opt));
+    // Sections 1 and 2: the storm sweep and its cross-`--jobs` check.
+    const bench::SweepRun sweep =
+        bench::run_sweep(opt, "abl_overload", [&](const bench::HarnessOptions& o) {
+            return bench::overload::seed_jobs(seeds, opt.smoke, o);
+        });
 
     std::printf("%-4s %4s %6s %6s %6s %7s %7s %6s %7s %9s %6s %6s %5s\n", "leg",
                 "seed", "peak", "shedB", "shedQ", "srvNew", "srvRen", "renew",
@@ -104,7 +64,7 @@ int main(int argc, char** argv) {
     int fail_on = 0;
     int fail_off = 0;
     std::size_t off_peak_max = 0;
-    for (const sweep::JobResult& r : serial.results) {
+    for (const sweep::JobResult& r : sweep.outcome.results) {
         if (!r.ok) {
             std::printf("job failed: %s\n", r.error.c_str());
             ++fail_on;
@@ -144,28 +104,6 @@ int main(int argc, char** argv) {
             if (wmark == 0) ++fail_off;
         }
     }
-    bench::export_text(opt.metrics_dir, "abl_overload", "sweep", ".json",
-                       serial.report("abl_overload", "sweep").dump(2) + "\n");
-
-    // Section 2: byte-identity at --jobs >= 2 (quiet: no artifact races).
-    const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
-    const bench::HarnessOptions quiet{.smoke = opt.smoke, .seeds = opt.seeds};
-    const sweep::SweepRunner par_runner({.jobs = compare_jobs});
-    const sweep::SweepOutcome par =
-        par_runner.run(bench::overload::seed_jobs(seeds, opt.smoke, quiet));
-    bool identical = par.report("abl_overload", "sweep").dump(2) ==
-                         serial.report("abl_overload", "sweep").dump(2) &&
-                     par.results.size() == serial.results.size();
-    if (identical) {
-        for (std::size_t i = 0; i < par.results.size(); ++i) {
-            if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                identical = false;
-                break;
-            }
-        }
-    }
-    std::printf("\nsweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
-                compare_jobs, bench::yn(identical));
 
     // Section 3: the metro flap, one city per leg (+ a same-leg re-run
     // determinism check on the protected city).
@@ -175,7 +113,7 @@ int main(int argc, char** argv) {
     const bench::overload::CityOutcome city_off =
         bench::overload::run_city_leg(city_seed, false, opt.smoke, opt, true);
     const bench::overload::CityOutcome city_on2 =
-        bench::overload::run_city_leg(city_seed, true, opt.smoke, quiet, false);
+        bench::overload::run_city_leg(city_seed, true, opt.smoke, opt, false);
     const bool city_identical =
         city_on.snapshot == city_on2.snapshot && city_on.events == city_on2.events;
 
@@ -211,7 +149,7 @@ int main(int argc, char** argv) {
     block["storm_n"] =
         static_cast<std::uint64_t>(bench::overload::storm_shape(opt.smoke).n);
     block["off_queue_peak_max"] = static_cast<std::uint64_t>(off_peak_max);
-    block["artifacts_identical"] = identical;
+    block["artifacts_identical"] = sweep.identical;
     block["city_recovery_s_on"] = city_on.recovery_s;
     block["city_recovery_s_off"] = city_off.recovery_s;
     block["city_pre_flap_bindings"] = static_cast<std::uint64_t>(city_on.pre_flap);
@@ -221,45 +159,28 @@ int main(int argc, char** argv) {
         city_on.wall_ms > 0
             ? static_cast<double>(city_on.events) / (city_on.wall_ms / 1e3)
             : 0.0;
-    merge_into_perf_report(opt, std::move(block));
+    bench::merge_perf_block(opt, "overload", std::move(block));
 
-    int rc = 0;
-    if (fail_on > 0) {
-        std::printf("\nFAIL: %d protected seed(s) broke the degradation contract "
-                    "(bounded queue, drained <= %.0f ms, >= %zu renewals, no binding "
-                    "loss, spike tripped+cleared, watermark quiet).\n",
-                    fail_on, sim::to_milliseconds(bench::overload::kDrainBound),
-                    kRenewalFloor);
-        rc = 1;
-    }
-    if (fail_off > 0) {
-        std::printf("\nFAIL: %d unprotected seed(s) showed no collapse evidence "
-                    "(queue watermark never tripped).\n", fail_off);
-        rc = 1;
-    }
-    if (!identical) {
-        std::printf("\nFAIL: sweep artifacts differ between jobs=1 and jobs=%d.\n",
-                    compare_jobs);
-        rc = 1;
-    }
-    if (!city_on_ok) {
-        std::printf("\nFAIL: protected city leg missed the recovery contract "
-                    "(recovered inside %.0f s, spike tripped+cleared, watermark "
-                    "quiet, bounded queue).\n", bound_s);
-        rc = 1;
-    }
-    if (!city_off_collapsed) {
-        std::printf("\nFAIL: unprotected city leg showed no collapse evidence.\n");
-        rc = 1;
-    }
-    if (!city_identical) {
-        std::printf("\nFAIL: protected city leg not deterministic across re-runs.\n");
-        rc = 1;
-    }
-    if (rc == 0) {
-        std::printf("\nAll %d seeds: protected legs degraded gracefully and "
-                    "recovered inside the bound; unprotected legs collapsed; "
-                    "artifacts byte-identical at any --jobs.\n", seeds);
-    }
-    return rc;
+    bench::Verdict verdict;
+    verdict.check(fail_on == 0,
+                  "%d protected seed(s) broke the degradation contract (bounded queue, "
+                  "drained <= %.0f ms, >= %zu renewals, no binding loss, spike "
+                  "tripped+cleared, watermark quiet).",
+                  fail_on, sim::to_milliseconds(bench::overload::kDrainBound),
+                  kRenewalFloor);
+    verdict.check(fail_off == 0,
+                  "%d unprotected seed(s) showed no collapse evidence (queue watermark "
+                  "never tripped).",
+                  fail_off);
+    verdict.check(sweep.identical, "sweep artifacts differ between jobs=1 and jobs=%d.",
+                  sweep.compare_jobs);
+    verdict.check(city_on_ok,
+                  "protected city leg missed the recovery contract (recovered inside "
+                  "%.0f s, spike tripped+cleared, watermark quiet, bounded queue).",
+                  bound_s);
+    verdict.check(city_off_collapsed, "unprotected city leg showed no collapse evidence.");
+    verdict.check(city_identical, "protected city leg not deterministic across re-runs.");
+    return verdict.exit_status(
+        "All seeds: protected legs degraded gracefully and recovered inside the bound; "
+        "unprotected legs collapsed; artifacts byte-identical at any --jobs.");
 }

@@ -32,13 +32,9 @@
 
 #include <chrono>
 #include <cinttypes>
-#include <fstream>
-#include <sstream>
-#include <thread>
 #include <vector>
 
 #include "metro/city.h"
-#include "sweep/sweep.h"
 
 using namespace mip;
 
@@ -99,9 +95,7 @@ std::uint64_t city_counter(metro::CitySim& city, const char* name) {
     return city.metrics().counter("city", "metro", name).value();
 }
 
-/// One JobSpec per seed. Exports go through @p opt — pass a quiet options
-/// struct for comparison runs so parallel jobs never race on artifact
-/// files with the reference run.
+/// One JobSpec per seed, exporting its artifacts through @p opt.
 std::vector<sweep::JobSpec> seed_jobs(const CityParams& p,
                                       const bench::HarnessOptions& opt) {
     std::vector<sweep::JobSpec> jobs;
@@ -304,47 +298,7 @@ obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
     return o;
 }
 
-/// Merges the city block into BENCH_perf.json without clobbering the
-/// bench_perf scenario data already there (the two binaries share the
-/// file; CI runs them back to back into M4X4_BENCH_PERF_OUT). Smoke runs
-/// write only when the override is set, same rule as bench_perf.
-void merge_into_perf_report(const bench::HarnessOptions& opt,
-                            obs::JsonValue::Object city) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) return;
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
-
-    obs::JsonValue doc;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (in) {
-            std::ostringstream buf;
-            buf << in.rdbuf();
-            try {
-                doc = obs::JsonValue::parse(buf.str());
-            } catch (const obs::JsonError&) {
-                doc = obs::JsonValue();
-            }
-        }
-    }
-    if (!doc.is_object()) {
-        obs::JsonValue::Object fresh;
-        fresh["schema_version"] = 3;
-        fresh["kind"] = "bench_perf";
-        fresh["smoke"] = opt.smoke;
-        fresh["scenarios"] = obs::JsonValue::Array{};
-        doc = obs::JsonValue(std::move(fresh));
-    }
-    doc["hardware_concurrency"] =
-        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
-    doc["city"] = obs::JsonValue(std::move(city));
-
-    std::ofstream f(path);
-    f << doc.dump(2) << "\n";
-    std::printf("merged city block into %s\n", path.c_str());
-}
-
-void print_figure(const bench::HarnessOptions& opt) {
+int print_figure(const bench::HarnessOptions& opt) {
     bench::print_header(
         "bench_city: city-scale metro scenario",
         "A hierarchical metro topology (backbone -> regionals -> radio\n"
@@ -355,11 +309,12 @@ void print_figure(const bench::HarnessOptions& opt) {
         "behaviour before comparing wall clocks.");
 
     const CityParams p = params(opt);
-    const int compare_jobs = opt.jobs > 1 ? opt.jobs : 2;
 
-    // Section 1: the seed sweep (serial reference run exports artifacts).
-    const sweep::SweepRunner serial_runner({.jobs = 1});
-    const sweep::SweepOutcome serial = serial_runner.run(seed_jobs(p, opt));
+    // Sections 1 and 2: the seed sweep and its cross-`--jobs` check.
+    const bench::SweepRun sweep = bench::run_sweep(
+        opt, "bench_city",
+        [&](const bench::HarnessOptions& o) { return seed_jobs(p, o); });
+    const sweep::SweepOutcome& serial = sweep.outcome;
     std::printf("%6s %10s %10s %10s %10s %8s %7s\n", "seed", "events", "handoffs",
                 "regs", "probes", "deliv", "storms");
     std::uint64_t events_total = 0;
@@ -382,27 +337,6 @@ void print_figure(const bench::HarnessOptions& opt) {
                     r.report.at("probes").as_number(), deliv * 100.0,
                     r.report.at("storm_trips").as_number());
     }
-    bench::export_text(opt.metrics_dir, "bench_city", "sweep", ".json",
-                       serial.report("bench_city", "sweep").dump(2) + "\n");
-
-    // Section 2: byte-identity at --jobs >= 2 (quiet: no artifact races).
-    const bench::HarnessOptions quiet{.smoke = opt.smoke, .seeds = opt.seeds};
-    const sweep::SweepRunner par_runner({.jobs = compare_jobs});
-    const sweep::SweepOutcome par = par_runner.run(seed_jobs(p, quiet));
-    bool identical_sweep =
-        par.report("bench_city", "sweep").dump(2) == serial.report("bench_city", "sweep").dump(2) &&
-        par.results.size() == serial.results.size();
-    if (identical_sweep) {
-        for (std::size_t i = 0; i < par.results.size(); ++i) {
-            if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                identical_sweep = false;
-                break;
-            }
-        }
-    }
-    std::printf("\nsweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
-                compare_jobs, bench::yn(identical_sweep));
-
     // Sections 3 and 4.
     obs::JsonValue::Object find_link = measure_find_link(opt);
     bool sched_identical = false;
@@ -422,27 +356,28 @@ void print_figure(const bench::HarnessOptions& opt) {
     city["events_per_sec"] = events_per_sec;
     city["deliverability_min"] = deliv_min;
     city["storm_trips"] = storm_trips_total;
-    city["artifacts_identical"] = identical_sweep;
-    city["compare_jobs"] = compare_jobs;
+    city["artifacts_identical"] = sweep.identical;
+    city["compare_jobs"] = sweep.compare_jobs;
     city["find_link"] = std::move(find_link);
     city["scheduler"] = std::move(scheduler);
     city["observability"] = std::move(observability);
-    merge_into_perf_report(opt, std::move(city));
+    bench::merge_perf_block(opt, "city", std::move(city));
 
     std::printf("\ncity events/sec (single core, calendar queue): %.0f\n", events_per_sec);
 
-    if (serial.failures() > 0 || !identical_sweep || !sched_identical) {
-        std::printf("\nFAIL: %zu job failures, sweep identical=%s, scheduler identical=%s\n",
-                    serial.failures(), bench::yn(identical_sweep),
-                    bench::yn(sched_identical));
-        std::exit(1);
-    }
+    bench::Verdict verdict;
+    verdict.check(serial.failures() == 0, "%zu seed job(s) failed.", serial.failures());
+    verdict.check(sweep.identical, "sweep artifacts differ between jobs=1 and jobs=%d.",
+                  sweep.compare_jobs);
+    verdict.check(sched_identical,
+                  "binary heap and calendar queue runs of the seed-1 city differ.");
+    return verdict.exit_status(
+        "City sweep byte-identical at any --jobs; heap and calendar queue agree.");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
     const bench::HarnessOptions opt = bench::parse_harness_options(&argc, argv);
-    print_figure(opt);
-    return 0;
+    return print_figure(opt);
 }

@@ -321,7 +321,6 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     };
 
     const sweep::SweepOutcome serial = run_with(1);
-    const std::string serial_report = serial.report("abl_chaos", "sweep").dump(2);
 
     std::printf("\nsweep scaling (%d-seed chaos sweep, hardware_concurrency=%u):\n",
                 seeds, std::thread::hardware_concurrency());
@@ -332,16 +331,7 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     obs::JsonValue::Array parallel;
     for (const int jobs : {2, 4}) {
         const sweep::SweepOutcome par = run_with(jobs);
-        bool identical = par.report("abl_chaos", "sweep").dump(2) == serial_report &&
-                         par.results.size() == serial.results.size();
-        if (identical) {
-            for (std::size_t i = 0; i < par.results.size(); ++i) {
-                if (par.results[i].metrics.dump(2) != serial.results[i].metrics.dump(2)) {
-                    identical = false;
-                    break;
-                }
-            }
-        }
+        const bool identical = par.same_artifacts(serial);
         all_identical = all_identical && identical;
         const double speedup = par.wall_ms > 0 ? serial.wall_ms / par.wall_ms : 0.0;
         std::printf("%6d  %12.1f  %7.2fx  %10s\n", jobs, par.wall_ms, speedup,
@@ -363,14 +353,11 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     return sw;
 }
 
+/// Writes the whole document: bench_perf runs first and starts the file
+/// the other benches merge their blocks into.
 void write_report(const bench::HarnessOptions& opt, const obs::JsonValue& doc) {
-    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
-    if (opt.smoke && (out == nullptr || out[0] == '\0')) {
-        // Smoke scenarios are deliberately tiny; their wall-clock numbers
-        // would overwrite a meaningful baseline.
-        return;
-    }
-    const std::string path = (out != nullptr && out[0] != '\0') ? out : "BENCH_perf.json";
+    const std::string path = bench::perf_report_path(opt);
+    if (path.empty()) return;
     std::ofstream f(path);
     f << doc.dump(2) << "\n";
     std::printf("wrote %s\n", path.c_str());

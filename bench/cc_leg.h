@@ -7,14 +7,14 @@
 // This header is the byte-identity anchor for the StaticController
 // default: the same scenario ran against the pre-refactor transport to
 // produce bench/golden/cc_static.txt, so every API it touches must keep
-// its seed behaviour bit-exact under the default transport::Config. Leg
-// lambdas use variadic tails so the file compiles against both callback
-// generations.
+// its seed behaviour bit-exact under the default transport::Config.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -125,6 +125,23 @@ inline std::string render_leg(const LegResult& r) {
     return buf;
 }
 
+/// Loads the pre-refactor StaticController golden, @p dir/cc_static.txt
+/// (lines of "<full|smoke> <render_leg output>"), for one scale: leg
+/// label -> rendered line. Empty when the file cannot be read.
+inline std::map<std::string, std::string> load_golden(const std::string& dir, bool smoke) {
+    std::map<std::string, std::string> golden;
+    std::ifstream in(dir + "/cc_static.txt");
+    const std::string want = smoke ? "smoke " : "full ";
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind(want, 0) != 0) continue;
+        const std::string rendered = line.substr(want.size());
+        // rendered starts "leg=<label> ..."
+        golden[rendered.substr(4, rendered.find(' ') - 4)] = rendered;
+    }
+    return golden;
+}
+
 /// Observer the post-refactor bench installs to collect queueing-delay
 /// samples; the seed-era golden generator leaves it empty. Passive — it
 /// must never influence the simulation.
@@ -154,7 +171,9 @@ inline LegResult run_leg(const LegParams& p, const LegObservers& observers = {})
     std::size_t received = 0;
     ch.tcp().listen(7400, [&](transport::TcpConnection& c) {
         c.set_data_callback(
-            [&received](std::span<const std::uint8_t> d, auto&&...) { received += d.size(); });
+            [&received](std::span<const std::uint8_t> d, const transport::RxMeta&) {
+                received += d.size();
+            });
     });
 
     MobileHostConfig mcfg = world.mobile_config();
@@ -181,7 +200,7 @@ inline LegResult run_leg(const LegParams& p, const LegObservers& observers = {})
     if (observers.on_transport) observers.on_transport(world, mh.tcp(), result);
 
     transport::TcpConnection& conn = mh.tcp().connect(ch.address(), 7400);
-    conn.set_data_callback([](std::span<const std::uint8_t>, auto&&...) {});
+    conn.set_data_callback([](std::span<const std::uint8_t>, const transport::RxMeta&) {});
 
     // App-clocked continuous flow: a 20 ms tick tops the send buffer up to
     // a bounded backlog until the leg's payload is fully queued.

@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -65,25 +66,6 @@ inline const char* last_fault_class(const mip::fault::FaultPlan& plan) {
     }
     return last != nullptr ? fault_class(last->kind) : "none";
 }
-
-struct SeedOutcome {
-    std::uint64_t seed = 0;
-    std::size_t plan_size = 0;
-    double last_clear_s = 0.0;
-    std::string fault_class = "none";
-    bool converged = false;
-    double recovery_ms = 0.0;
-    std::size_t probes_failed = 0;
-    std::size_t cancelled_backlog = 0;
-    // Health-monitor outcome (PR 8): total trips across all monitors, did
-    // a monitor matching the seed's fault class trip before recovery, when
-    // that first matching trip fired, and how many incident bundles the
-    // flight recorder captured.
-    std::uint64_t monitor_trips = 0;
-    bool monitor_matched = false;
-    double first_trip_ms = -1.0;
-    std::uint64_t incidents = 0;
-};
 
 /// The monitors every chaos run arms, and which fault classes each one is
 /// evidence for. "probe-failures" is the end-to-end canary — any injected
@@ -182,17 +164,25 @@ inline void arm_chaos_monitors(mip::obs::HealthMonitor& monitor) {
     monitor.add_quantile_slo(rtt);
 }
 
-/// Runs one seeded chaos scenario to completion. @p export_artifacts
-/// gates the per-seed metrics/decisions/timeseries files — bench_perf's
-/// scaling runs pass exports-disabled options so repeated sweeps measure
-/// pure compute and never clobber the figure's artifacts.
+/// Runs one seeded chaos scenario to completion and returns its report
+/// row and metrics snapshot. @p opt gates the per-seed metrics/decisions/
+/// timeseries files — bench_perf's scaling runs pass exports-disabled
+/// options so repeated sweeps measure pure compute and never clobber the
+/// figure's artifacts.
 ///
 /// Monitors and the flight recorder are always armed (that is the PR 8
 /// point: detection is cheap enough to leave on). @p inject false runs
 /// the identical scenario with the fault plan generated but never
 /// executed — the fault-free control leg that must produce zero trips.
-inline SeedOutcome run_seed(std::uint64_t seed, bool smoke, const HarnessOptions& opt,
-                            mip::sweep::JobResult* job = nullptr, bool inject = true) {
+///
+/// Row: seed, plan_size, last_clear_s, fault_class (class of the plan's
+/// last-clearing fault), converged, recovery_ms, probes_failed,
+/// cancelled_backlog, monitor_trips (across all monitors),
+/// monitor_matched (a monitor matching fault_class tripped before
+/// recovery), first_trip_ms (that first matching trip, -1 if none) and
+/// incidents (bundles the flight recorder captured).
+inline mip::sweep::JobResult run_seed(std::uint64_t seed, bool smoke,
+                                      const HarnessOptions& opt, bool inject = true) {
     using namespace mip;
     using namespace mip::core;
 
@@ -220,18 +210,20 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool smoke, const HarnessOptions
     MobileHost& mh = world.create_mobile_host(std::move(mcfg));
     world.enable_decision_log();
 
-    SeedOutcome out;
-    out.seed = seed;
-    if (!world.attach_mobile_foreign()) return out;
+    if (!world.attach_mobile_foreign()) throw std::runtime_error("attach failed");
+    mip::sweep::JobResult job;
+    mip::obs::JsonValue::Object& row = job.report;
+    row["seed"] = seed;
 
     fault::ChaosProfile profile;
     profile.horizon = smoke ? sim::seconds(8) : sim::seconds(15);
     if (smoke) profile.impairments = 1;
     fault::FaultPlan plan = fault::FaultPlan::random(seed, profile);
-    out.plan_size = plan.size();
-    out.fault_class = last_fault_class(plan);
+    row["plan_size"] = plan.size();
+    const std::string cls = last_fault_class(plan);
+    row["fault_class"] = cls;
     const sim::TimePoint last_clear = plan.last_clear_time();
-    out.last_clear_s = sim::to_seconds(last_clear);
+    row["last_clear_s"] = sim::to_seconds(last_clear);
 
     fault::FaultInjector injector(world, /*seed=*/seed ^ 0xc4a05);
     if (inject) injector.execute(plan);
@@ -246,7 +238,7 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool smoke, const HarnessOptions
     // fault-free control leg must keep the counter at zero.
     mh.tcp().set_observability("mobile-host", &world.metrics, &world.decisions);
     ch.tcp().listen(7500, [](transport::TcpConnection& c) {
-        c.set_data_callback([](std::span<const std::uint8_t>, auto&&...) {});
+        c.set_data_callback([](std::span<const std::uint8_t>, const transport::RxMeta&) {});
     });
     transport::TcpConnection& canary = mh.tcp().connect(ch.address(), 7500);
     std::function<void()> canary_tick = [&] {
@@ -319,44 +311,45 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool smoke, const HarnessOptions
     // Let the last in-flight echo resolve.
     world.run_for(kProbeTimeout + kProbeInterval);
 
-    out.converged = recovered;
-    out.recovery_ms =
+    const double recovery_ms =
         recovered ? sim::to_milliseconds(std::max<sim::Duration>(
                         0, recovered_at - last_clear))
                   : sim::to_milliseconds(kRecoveryBound);
-    out.probes_failed = failed;
-    out.cancelled_backlog = world.sim.cancelled_backlog();
+    row["converged"] = recovered;
+    row["recovery_ms"] = recovery_ms;
+    row["probes_failed"] = failed;
+    row["cancelled_backlog"] = world.sim.cancelled_backlog();
 
     // Monitor outcome: did a monitor whose class set covers this seed's
     // fault class trip, and did its first trip precede recovery?
-    out.monitor_trips = monitor.trips();
-    out.incidents = recorder.captured();
+    row["monitor_trips"] = monitor.trips();
+    row["incidents"] = recorder.captured();
     const sim::TimePoint recovery_cutoff = recovered ? recovered_at : deadline;
     sim::TimePoint first_match = -1;
     for (const char* name : kChaosMonitors) {
         if (monitor.trip_count(name) == 0) continue;
-        if (!monitor_matches_class(name, out.fault_class)) continue;
+        if (!monitor_matches_class(name, cls)) continue;
         const sim::TimePoint ft = monitor.first_trip_at(name);
         if (ft >= 0 && (first_match < 0 || ft < first_match)) first_match = ft;
     }
-    out.monitor_matched = first_match >= 0 && first_match <= recovery_cutoff;
-    if (first_match >= 0) out.first_trip_ms = sim::to_milliseconds(first_match);
+    row["monitor_matched"] = first_match >= 0 && first_match <= recovery_cutoff;
+    row["first_trip_ms"] = first_match >= 0 ? sim::to_milliseconds(first_match) : -1.0;
 
     world.metrics
         .histogram("mobile-host", "chaos", "recovery_ms",
                    {50, 100, 250, 500, 1000, 2000, 5000, 10000})
-        .observe(out.recovery_ms);
+        .observe(recovery_ms);
     mip::obs::DecisionEvent ev;
     ev.when = world.sim.now();
     ev.node = "chaos-harness";
-    ev.correspondent = out.fault_class;
+    ev.correspondent = cls;
     ev.trigger = "recovery";
     ev.test = "delivery-restored";
     ev.input = "bound=" +
                std::to_string(static_cast<long long>(sim::to_milliseconds(kRecoveryBound))) +
                "ms";
-    ev.passed = out.converged;
-    ev.detail = out.converged
+    ev.passed = recovered;
+    ev.detail = recovered
                     ? "end-to-end delivery restored after last fault cleared"
                     : "no successful round trip inside the recovery bound";
     world.decisions.record(std::move(ev));
@@ -373,39 +366,9 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool smoke, const HarnessOptions
         export_perfetto(opt, writer, "abl_chaos", label);
     }
 
-    if (job != nullptr) {
-        job->metrics = world.metrics.snapshot("abl_chaos", label, world.sim.now());
-        job->decision_count = world.decisions.size();
-    }
-    return out;
-}
-
-/// The sweep job for one seed: deterministic report row + metrics
-/// snapshot for the merge stage.
-inline mip::sweep::JobSpec seed_job(std::uint64_t seed, bool smoke,
-                                    const HarnessOptions& opt) {
-    mip::sweep::JobSpec spec;
-    spec.id = seed;
-    spec.label = "seed" + std::to_string(seed);
-    spec.run = [seed, smoke, opt]() {
-        mip::sweep::JobResult r;
-        const SeedOutcome out = run_seed(seed, smoke, opt, &r);
-        r.report["seed"] = out.seed;
-        r.report["plan_size"] = static_cast<std::uint64_t>(out.plan_size);
-        r.report["last_clear_s"] = out.last_clear_s;
-        r.report["fault_class"] = out.fault_class;
-        r.report["converged"] = out.converged;
-        r.report["recovery_ms"] = out.recovery_ms;
-        r.report["probes_failed"] = static_cast<std::uint64_t>(out.probes_failed);
-        r.report["cancelled_backlog"] =
-            static_cast<std::uint64_t>(out.cancelled_backlog);
-        r.report["monitor_trips"] = out.monitor_trips;
-        r.report["monitor_matched"] = out.monitor_matched;
-        r.report["first_trip_ms"] = out.first_trip_ms;
-        r.report["incidents"] = out.incidents;
-        return r;
-    };
-    return spec;
+    job.metrics = world.metrics.snapshot("abl_chaos", label, world.sim.now());
+    job.decision_count = world.decisions.size();
+    return job;
 }
 
 /// Seeds 1..@p seeds as a job list ready for SweepRunner::run.
@@ -414,7 +377,9 @@ inline std::vector<mip::sweep::JobSpec> seed_jobs(int seeds, bool smoke,
     std::vector<mip::sweep::JobSpec> jobs;
     jobs.reserve(static_cast<std::size_t>(seeds));
     for (int s = 1; s <= seeds; ++s) {
-        jobs.push_back(seed_job(static_cast<std::uint64_t>(s), smoke, opt));
+        const auto seed = static_cast<std::uint64_t>(s);
+        jobs.push_back({seed, "seed" + std::to_string(seed),
+                        [seed, smoke, opt] { return run_seed(seed, smoke, opt); }});
     }
     return jobs;
 }

@@ -11,9 +11,11 @@ Rules:
     nothing about performance, so the mismatch is reported and the gate
     passes vacuously rather than lying either way.
   - Compared rates: scenarios[].baseline.events_per_sec (bench_perf's
-    ladder, keyed by scenario name) and city.events_per_sec (bench_city's
-    single-core figure). Scenarios present on only one side are listed
-    but not gated — adding or retiring a scenario must not break CI.
+    ladder, keyed by scenario name) and the events_per_sec of every
+    top-level block that names one (bench_city's "city", abl_overload's
+    "overload", abl_cc_handoff's "cc", and any block a new bench adds).
+    Figures present on only one side are listed but not gated — adding
+    or retiring a scenario or bench must not break CI.
   - Wall-clock noise is real even at 2 reps; the default threshold (20%)
     is deliberately loose. Tighten it only with a quieter runner.
   - Tracing-overhead budgets (ISSUE 7): on non-smoke fresh documents,
@@ -47,15 +49,9 @@ def rates_of(doc):
         base = sc.get("baseline", {})
         if "name" in sc and "events_per_sec" in base:
             rates["scenario:" + sc["name"]] = base["events_per_sec"]
-    city = doc.get("city", {})
-    if "events_per_sec" in city:
-        rates["city"] = city["events_per_sec"]
-    overload = doc.get("overload", {})
-    if "events_per_sec" in overload:
-        rates["overload"] = overload["events_per_sec"]
-    cc = doc.get("cc", {})
-    if "events_per_sec" in cc:
-        rates["cc"] = cc["events_per_sec"]
+    for name, block in doc.items():
+        if isinstance(block, dict) and "events_per_sec" in block:
+            rates[name] = block["events_per_sec"]
     return rates
 
 

@@ -13,10 +13,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/scenario.h"
 #include "harness.h"
@@ -129,5 +131,13 @@ inline void print_header(const char* figure, const char* caption) {
 }
 
 inline const char* yn(bool b) { return b ? "yes" : "no"; }
+
+/// Nearest-rank-below percentile: element floor(p * (n - 1)) of the
+/// sorted samples; 0 for an empty set.
+inline double percentile(std::vector<double> v, double p) {
+    if (v.empty()) return 0.0;
+    std::sort(v.begin(), v.end());
+    return v[static_cast<std::size_t>(p * static_cast<double>(v.size() - 1))];
+}
 
 }  // namespace bench

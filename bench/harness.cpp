@@ -2,11 +2,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <thread>
 
 #include "core/scenario.h"
 
@@ -153,6 +157,85 @@ void export_text(const std::string& dir, const std::string& bench,
     if (path.empty()) return;
     std::ofstream out(path);
     out << text;
+}
+
+SweepRun run_sweep(const HarnessOptions& opt, const std::string& bench,
+                   const MakeJobs& make_jobs) {
+    SweepRun run;
+    run.outcome = mip::sweep::SweepRunner({.jobs = 1}).run(make_jobs(opt));
+    export_text(opt.metrics_dir, bench, "sweep", ".json",
+                run.outcome.report(bench, "sweep").dump(2) + "\n");
+
+    HarnessOptions quiet = opt;
+    quiet.metrics_dir.clear();
+    quiet.perfetto_dir.clear();
+    run.compare_jobs = std::max(opt.jobs, 2);
+    const mip::sweep::SweepOutcome par =
+        mip::sweep::SweepRunner({.jobs = run.compare_jobs}).run(make_jobs(quiet));
+    run.identical = par.same_artifacts(run.outcome);
+    std::printf("\nsweep determinism: jobs=1 vs jobs=%d artifacts identical: %s\n",
+                run.compare_jobs, run.identical ? "yes" : "no");
+    return run;
+}
+
+std::string perf_report_path(const HarnessOptions& opt) {
+    const char* out = std::getenv("M4X4_BENCH_PERF_OUT");
+    const bool overridden = out != nullptr && out[0] != '\0';
+    if (overridden) return out;
+    return opt.smoke ? "" : "BENCH_perf.json";
+}
+
+void merge_perf_block(const HarnessOptions& opt, const std::string& key,
+                      mip::obs::JsonValue::Object block) {
+    const std::string path = perf_report_path(opt);
+    if (path.empty()) return;
+
+    mip::obs::JsonValue doc;
+    if (std::ifstream in{path, std::ios::binary}) {
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        try {
+            doc = mip::obs::JsonValue::parse(buf.str());
+        } catch (const mip::obs::JsonError& e) {
+            std::fprintf(stderr, "error: %s: %s\n", path.c_str(), e.what());
+            std::exit(1);
+        }
+        if (!doc.is_object()) {
+            std::fprintf(stderr, "error: %s: not a JSON object\n", path.c_str());
+            std::exit(1);
+        }
+    } else {
+        mip::obs::JsonValue::Object fresh;
+        fresh["schema_version"] = 3;
+        fresh["kind"] = "bench_perf";
+        fresh["smoke"] = opt.smoke;
+        fresh["scenarios"] = mip::obs::JsonValue::Array{};
+        doc = mip::obs::JsonValue(std::move(fresh));
+    }
+    doc["hardware_concurrency"] =
+        static_cast<std::uint64_t>(std::thread::hardware_concurrency());
+    doc[key] = mip::obs::JsonValue(std::move(block));
+
+    std::ofstream f(path);
+    f << doc.dump(2) << "\n";
+    std::printf("merged %s block into %s\n", key.c_str(), path.c_str());
+}
+
+void Verdict::check(bool ok, const char* failure_fmt, ...) {
+    if (ok) return;
+    ++failed_;
+    std::va_list args;
+    va_start(args, failure_fmt);
+    std::printf("\nFAIL: ");
+    std::vprintf(failure_fmt, args);
+    std::printf("\n");
+    va_end(args);
+}
+
+int Verdict::exit_status(const char* success) const {
+    if (failed_ > 0) return 1;
+    std::printf("\n%s\n", success);
+    return 0;
 }
 
 int bench_main(int argc, char** argv, void (*run)(const HarnessOptions&)) {

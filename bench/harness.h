@@ -25,16 +25,25 @@
 // a human at a shell can type flags. The export_* helpers take the
 // options explicitly; nothing outside parse_harness_options() touches
 // getenv for these knobs.
+//
+// Sweep benches share three more parts: run_sweep (the serial reference
+// run, the cross-`--jobs` byte-identity re-run and the merged-report
+// export), merge_perf_block (the one writer of BENCH_perf.json blocks)
+// and Verdict (the FAIL lines and the exit status).
 #pragma once
 
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "obs/decision.h"
 #include "obs/incident.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/perfetto.h"
 #include "obs/timeseries.h"
 #include "sim/time.h"
+#include "sweep/sweep.h"
 
 namespace mip::core {
 class World;
@@ -108,6 +117,53 @@ void export_perfetto(const HarnessOptions& opt, const mip::obs::ChromeTraceWrite
 /// sweep reports and other already-serialized documents.
 void export_text(const std::string& dir, const std::string& bench,
                  const std::string& label, const char* suffix, const std::string& text);
+
+/// A sweep run twice (DESIGN.md §10): the serial reference and a
+/// parallel re-run whose artifacts must match it byte for byte.
+struct SweepRun {
+    mip::sweep::SweepOutcome outcome;  ///< the serial (jobs=1) reference run
+    int compare_jobs = 2;              ///< thread count of the re-run
+    bool identical = false;            ///< re-run's artifacts matched the reference
+};
+
+/// Builds a sweep's job list; the jobs export through the options given.
+using MakeJobs =
+    std::function<std::vector<mip::sweep::JobSpec>(const HarnessOptions&)>;
+
+/// Runs @p make_jobs at --jobs 1 with @p opt (exports on), then at
+/// max(--jobs, 2) with exports off so the re-run never races the
+/// reference's artifact files, and compares the two with
+/// SweepOutcome::same_artifacts. Exports the reference's merged report as
+/// <metrics_dir>/<bench>_sweep.json and prints the determinism line.
+SweepRun run_sweep(const HarnessOptions& opt, const std::string& bench,
+                   const MakeJobs& make_jobs);
+
+/// Where BENCH_perf.json goes: M4X4_BENCH_PERF_OUT when set, else
+/// ./BENCH_perf.json — except under --smoke without the override, which
+/// returns "" (tiny-scenario wall clocks must not overwrite a baseline).
+std::string perf_report_path(const HarnessOptions& opt);
+
+/// Sets @p key of BENCH_perf.json (perf_report_path) to @p block, keeping
+/// every other block. A missing file starts a fresh document; an existing
+/// file that is not a JSON object is reported and the process exits 1
+/// rather than dropping the blocks other benches wrote.
+void merge_perf_block(const HarnessOptions& opt, const std::string& key,
+                      mip::obs::JsonValue::Object block);
+
+/// A bench's exit-asserted contract: each check that fails prints one
+/// "FAIL: ..." line; exit_status() prints the success line when none did.
+class Verdict {
+public:
+    /// Records one check; when !ok prints "FAIL: " + the printf-formatted text.
+    void check(bool ok, const char* failure_fmt, ...)
+        __attribute__((format(printf, 3, 4)));
+
+    /// 0 (after printing @p success) when every check held, else 1.
+    int exit_status(const char* success) const;
+
+private:
+    int failed_ = 0;
+};
 
 /// The standard figure main: parse the harness options, print the
 /// figure's table via @p run, then (outside --smoke) hand the remaining

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -77,45 +78,22 @@ inline mip::core::OverloadConfig agent_overload(bool protection) {
     return qc;
 }
 
-struct SeedOutcome {
-    std::uint64_t seed = 0;
-    bool protection = true;
-    std::size_t storm_n = 0;
-    // Agent-side queue outcome.
-    std::size_t queue_peak = 0;
-    std::size_t shed_bucket = 0;
-    std::size_t shed_queue = 0;
-    std::size_t served_new = 0;
-    std::size_t served_renewal = 0;
-    // Tenant outcome: renewals accepted during/after the storm, and
-    // whether the host ever lost its binding.
-    std::size_t renewals = 0;
-    std::size_t binding_expiries = 0;
-    std::size_t backoffs = 0;
-    // Queue-drain time from the last storm arrival (capped at the poll
-    // horizon when the queue never drained).
-    double drain_ms = 0.0;
-    bool drained = false;
-    // Monitor outcome.
-    std::uint64_t spike_trips = 0;
-    bool spike_cleared = false;  ///< tripped during the storm, clear at end
-    std::uint64_t watermark_trips = 0;
-    std::uint64_t incidents = 0;
-};
-
-/// Runs one seeded small-leg storm. @p job receives the metrics snapshot
-/// for the byte-identity comparison when non-null.
-inline SeedOutcome run_seed(std::uint64_t seed, bool protection, bool smoke,
-                            const HarnessOptions& opt,
-                            mip::sweep::JobResult* job = nullptr) {
+/// Runs one seeded small-leg storm and returns its report row and
+/// metrics snapshot.
+///
+/// Row: seed, protection, storm_n; the agent queue's outcome (queue_peak,
+/// shed_bucket, shed_queue, served_new, served_renewal); the tenant's
+/// (renewals accepted during/after the storm, binding_expiries,
+/// backoffs); the queue drain from the last storm arrival (drained,
+/// drain_ms — capped at the poll horizon when it never drained); and the
+/// monitors' (spike_trips, spike_cleared = tripped during the storm and
+/// clear at the end, watermark_trips, incidents).
+inline mip::sweep::JobResult run_seed(std::uint64_t seed, bool protection, bool smoke,
+                                      const HarnessOptions& opt) {
     using namespace mip;
     using namespace mip::core;
 
     const StormShape storm = storm_shape(smoke);
-    SeedOutcome out;
-    out.seed = seed;
-    out.protection = protection;
-    out.storm_n = storm.n;
 
     WorldConfig cfg;
     cfg.backbone_routers = 2;
@@ -130,7 +108,7 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool protection, bool smoke,
     mcfg.registration_backoff_cap = sim::seconds(2);
     MobileHost& mh = world.create_mobile_host(std::move(mcfg));
     world.enable_decision_log();
-    if (!world.attach_mobile_foreign()) return out;
+    if (!world.attach_mobile_foreign()) throw std::runtime_error("attach failed");
 
     // The storm source: a plain host on the correspondent LAN forging
     // first-contact registrations for distinct (valid-key) home
@@ -193,27 +171,32 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool protection, bool smoke,
     while (queue->depth() > 0 && world.sim.now() - drain_from < horizon) {
         world.run_for(sim::milliseconds(10));
     }
-    out.drained = queue->depth() == 0;
-    out.drain_ms = sim::to_milliseconds(world.sim.now() - drain_from);
+    sweep::JobResult job;
+    obs::JsonValue::Object& row = job.report;
+    row["seed"] = seed;
+    row["protection"] = protection;
+    row["storm_n"] = storm.n;
+    row["drained"] = queue->depth() == 0;
+    row["drain_ms"] = sim::to_milliseconds(world.sim.now() - drain_from);
 
     // Post-storm tail: renewals keep flowing and the shed-spike monitor
     // gets quiet evaluations to clear on.
     world.run_for(sim::seconds(3));
 
     const RegistrationQueue::Stats& qs = queue->stats();
-    out.queue_peak = qs.queue_peak;
-    out.shed_bucket = qs.shed_new_bucket;
-    out.shed_queue = qs.shed_new_queue + qs.shed_renewal_queue;
-    out.served_new = qs.served_new;
-    out.served_renewal = qs.served_renewal;
-    out.renewals = ha.stats().registrations_renewed - renewed_before;
-    out.binding_expiries = mh.stats().binding_expiries;
-    out.backoffs = mh.stats().registration_backoffs;
-    out.spike_trips = monitor.trip_count("home-agent-shed-spike");
-    out.spike_cleared =
-        out.spike_trips > 0 && !monitor.tripped("home-agent-shed-spike");
-    out.watermark_trips = monitor.trip_count("home-agent-queue-watermark");
-    out.incidents = recorder.captured();
+    row["queue_peak"] = qs.queue_peak;
+    row["shed_bucket"] = qs.shed_new_bucket;
+    row["shed_queue"] = qs.shed_new_queue + qs.shed_renewal_queue;
+    row["served_new"] = qs.served_new;
+    row["served_renewal"] = qs.served_renewal;
+    row["renewals"] = ha.stats().registrations_renewed - renewed_before;
+    row["binding_expiries"] = mh.stats().binding_expiries;
+    row["backoffs"] = mh.stats().registration_backoffs;
+    const std::uint64_t spike_trips = monitor.trip_count("home-agent-shed-spike");
+    row["spike_trips"] = spike_trips;
+    row["spike_cleared"] = spike_trips > 0 && !monitor.tripped("home-agent-shed-spike");
+    row["watermark_trips"] = monitor.trip_count("home-agent-queue-watermark");
+    row["incidents"] = recorder.captured();
 
     monitor.stop();
     sampler.stop();
@@ -221,41 +204,9 @@ inline SeedOutcome run_seed(std::uint64_t seed, bool protection, bool smoke,
     export_decisions(opt, world.decisions, "abl_overload", label);
     export_incidents(opt, recorder, "abl_overload", label);
 
-    if (job != nullptr) {
-        job->metrics = world.metrics.snapshot("abl_overload", label, world.sim.now());
-        job->decision_count = world.decisions.size();
-    }
-    return out;
-}
-
-inline mip::sweep::JobSpec seed_job(std::uint64_t seed, bool protection, bool smoke,
-                                    const HarnessOptions& opt) {
-    mip::sweep::JobSpec spec;
-    spec.id = seed * 2 + (protection ? 0 : 1);
-    spec.label = std::string(protection ? "on" : "off") + "-seed" + std::to_string(seed);
-    spec.run = [seed, protection, smoke, opt] {
-        mip::sweep::JobResult r;
-        const SeedOutcome out = run_seed(seed, protection, smoke, opt, &r);
-        r.report["seed"] = out.seed;
-        r.report["protection"] = out.protection;
-        r.report["storm_n"] = static_cast<std::uint64_t>(out.storm_n);
-        r.report["queue_peak"] = static_cast<std::uint64_t>(out.queue_peak);
-        r.report["shed_bucket"] = static_cast<std::uint64_t>(out.shed_bucket);
-        r.report["shed_queue"] = static_cast<std::uint64_t>(out.shed_queue);
-        r.report["served_new"] = static_cast<std::uint64_t>(out.served_new);
-        r.report["served_renewal"] = static_cast<std::uint64_t>(out.served_renewal);
-        r.report["renewals"] = static_cast<std::uint64_t>(out.renewals);
-        r.report["binding_expiries"] = static_cast<std::uint64_t>(out.binding_expiries);
-        r.report["backoffs"] = static_cast<std::uint64_t>(out.backoffs);
-        r.report["drained"] = out.drained;
-        r.report["drain_ms"] = out.drain_ms;
-        r.report["spike_trips"] = out.spike_trips;
-        r.report["spike_cleared"] = out.spike_cleared;
-        r.report["watermark_trips"] = out.watermark_trips;
-        r.report["incidents"] = out.incidents;
-        return r;
-    };
-    return spec;
+    job.metrics = world.metrics.snapshot("abl_overload", label, world.sim.now());
+    job.decision_count = world.decisions.size();
+    return job;
 }
 
 /// Both legs for seeds 1..@p seeds, protection-on first (job ids keep
@@ -264,11 +215,16 @@ inline std::vector<mip::sweep::JobSpec> seed_jobs(int seeds, bool smoke,
                                                   const HarnessOptions& opt) {
     std::vector<mip::sweep::JobSpec> jobs;
     jobs.reserve(static_cast<std::size_t>(seeds) * 2);
-    for (int s = 1; s <= seeds; ++s) {
-        jobs.push_back(seed_job(static_cast<std::uint64_t>(s), true, smoke, opt));
-    }
-    for (int s = 1; s <= seeds; ++s) {
-        jobs.push_back(seed_job(static_cast<std::uint64_t>(s), false, smoke, opt));
+    for (const bool protection : {true, false}) {
+        for (int s = 1; s <= seeds; ++s) {
+            const auto seed = static_cast<std::uint64_t>(s);
+            jobs.push_back({seed * 2 + (protection ? 0 : 1),
+                            std::string(protection ? "on" : "off") + "-seed" +
+                                std::to_string(seed),
+                            [seed, protection, smoke, opt] {
+                                return run_seed(seed, protection, smoke, opt);
+                            }});
+        }
     }
     return jobs;
 }

@@ -43,8 +43,7 @@ def run_main(module, argv):
 
 
 def perf_doc(*, smoke, scenario_rate=1000.0, city_rate=5000.0,
-             traced_pct=None, obs_pct=None, overload_rate=None, cc_rate=None,
-             queue_work=None):
+             traced_pct=None, obs_pct=None, blocks=None, queue_work=None):
     """A minimal BENCH_perf.json document with the fields the gate reads."""
     scenario = {"name": "basic", "baseline": {"events_per_sec": scenario_rate}}
     if queue_work is not None:
@@ -56,10 +55,8 @@ def perf_doc(*, smoke, scenario_rate=1000.0, city_rate=5000.0,
         city["observability"] = {"overhead_pct": obs_pct}
     doc = {"kind": "bench_perf", "smoke": smoke,
            "scenarios": [scenario], "city": city}
-    if overload_rate is not None:
-        doc["overload"] = {"events_per_sec": overload_rate}
-    if cc_rate is not None:
-        doc["cc"] = {"events_per_sec": cc_rate}
+    for name, rate in (blocks or {}).items():
+        doc[name] = {"events_per_sec": rate}
     return doc
 
 
@@ -110,35 +107,21 @@ class PerfTrendTest(unittest.TestCase):
         self.assertEqual(at_edge[0], 0)
         self.assertEqual(below[0], 1)
 
-    def test_overload_headline_is_gated(self):
-        # The abl_overload block's events/sec headline participates in
-        # the trendline like the city figure does: a collapse in the
-        # storm-ablation throughput goes red even when every other
-        # figure holds.
-        code, out, _ = self.check(
-            perf_doc(smoke=True, overload_rate=2000.0),
-            perf_doc(smoke=True, overload_rate=1200.0))  # -40%
-        self.assertEqual(code, 1)
-        self.assertIn("overload", out)
-        code, _, _ = self.check(
-            perf_doc(smoke=True, overload_rate=2000.0),
-            perf_doc(smoke=True, overload_rate=1900.0))
-        self.assertEqual(code, 0)
-
-    def test_cc_headline_is_gated(self):
-        # The abl_cc_handoff block's events/sec headline is a trendline
-        # figure too: the congestion-control hot path (feedback taps,
-        # pacing timers, pooled buffers) regressing by more than the
-        # threshold goes red on its own.
-        code, out, _ = self.check(
-            perf_doc(smoke=True, cc_rate=3000.0),
-            perf_doc(smoke=True, cc_rate=1800.0))  # -40%
-        self.assertEqual(code, 1)
-        self.assertIn("cc", out)
-        code, _, _ = self.check(
-            perf_doc(smoke=True, cc_rate=3000.0),
-            perf_doc(smoke=True, cc_rate=2850.0))
-        self.assertEqual(code, 0)
+    def test_every_block_headline_is_gated(self):
+        # Each bench's top-level block names its own events/sec headline
+        # (abl_overload's "overload", abl_cc_handoff's "cc"); a block the
+        # gate has never seen is gated the same way, with no script edit.
+        for name in ("overload", "cc", "some_future_bench"):
+            code, out, _ = self.check(
+                perf_doc(smoke=True, blocks={name: 3000.0}),
+                perf_doc(smoke=True, blocks={name: 1800.0}))  # -40%
+            self.assertEqual(code, 1, name)
+            self.assertIn(name, out)
+            self.assertIn("REGRESSION", out)
+            code, _, _ = self.check(
+                perf_doc(smoke=True, blocks={name: 3000.0}),
+                perf_doc(smoke=True, blocks={name: 2850.0}))
+            self.assertEqual(code, 0, name)
 
     def test_threshold_space_separated_form(self):
         code, _, _ = self.check(perf_doc(smoke=True, scenario_rate=1000.0),

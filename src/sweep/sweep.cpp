@@ -37,6 +37,14 @@ std::size_t SweepOutcome::failures() const noexcept {
                       [](const JobResult& r) { return !r.ok; }));
 }
 
+bool SweepOutcome::same_artifacts(const SweepOutcome& other) const {
+    if (results.size() != other.results.size()) return false;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].metrics.dump() != other.results[i].metrics.dump()) return false;
+    }
+    return report("", "").dump() == other.report("", "").dump();
+}
+
 SweepRunner::SweepRunner(SweepConfig config) : config_(config) {}
 
 SweepOutcome SweepRunner::run(std::vector<JobSpec> jobs) const {

@@ -74,6 +74,11 @@ struct SweepOutcome {
 
     std::size_t failures() const noexcept;
 
+    /// True iff @p other carries byte-identical artifacts: the same result
+    /// count, every job's metrics snapshot and the merged report. This is
+    /// the jobs=1 vs jobs=N check of the determinism contract.
+    bool same_artifacts(const SweepOutcome& other) const;
+
     /// Deterministic merged report (docs/TRACE_FORMAT.md §8): jobs sorted
     /// by id, aggregated histograms summed across every job's metrics
     /// snapshot, total decision count. Identical bytes for any thread

@@ -5,7 +5,6 @@
 // the spurious-RTO-after-handoff regression.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <map>
 
 #include "cc_leg.h"
@@ -294,17 +293,8 @@ TEST(StaticController, InertUnderFeedback) {
 // pre-refactor trace stream byte for byte — same digest, same segment /
 // retransmission / hop / wire-byte counts, same completion time.
 TEST(StaticController, BitIdenticalToPreRefactorGoldens) {
-    std::map<std::string, std::string> golden;  // label -> rendered line
-    {
-        std::ifstream in(std::string(CC_GOLDEN_DIR) + "/cc_static.txt");
-        ASSERT_TRUE(in.is_open());
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.rfind("smoke ", 0) != 0) continue;
-            const std::string rendered = line.substr(6);
-            golden[rendered.substr(4, rendered.find(' ') - 4)] = rendered;
-        }
-    }
+    const std::map<std::string, std::string> golden =
+        bench_cc::load_golden(CC_GOLDEN_DIR, /*smoke=*/true);
     ASSERT_EQ(golden.size(), 4u);
 
     for (const core::OutMode mode : {core::OutMode::IE, core::OutMode::DE}) {

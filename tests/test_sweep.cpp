@@ -135,21 +135,42 @@ TEST(SweepDeterminismTest, ParallelJobsMatchSerialByteForByte) {
     const sweep::SweepOutcome ref = serial.run(make_jobs());
     const sweep::SweepOutcome par = parallel.run(make_jobs());
 
-    ASSERT_EQ(ref.results.size(), par.results.size());
     EXPECT_EQ(ref.failures(), 0u);
     EXPECT_EQ(par.failures(), 0u);
-    for (std::size_t i = 0; i < ref.results.size(); ++i) {
-        const auto& a = ref.results[i].report;
-        const auto& b = par.results[i].report;
-        EXPECT_EQ(a.at("metrics_json").as_string(), b.at("metrics_json").as_string())
-            << "job " << i << " metrics diverged between jobs=1 and jobs=4";
-        EXPECT_EQ(a.at("timeseries_json").as_string(),
-                  b.at("timeseries_json").as_string())
-            << "job " << i << " timeseries diverged between jobs=1 and jobs=4";
-    }
-    EXPECT_EQ(ref.report("test_sweep", "par").dump(2),
-              par.report("test_sweep", "par").dump(2))
-        << "merged report diverged between jobs=1 and jobs=4";
+    EXPECT_TRUE(ref.same_artifacts(par))
+        << "artifacts diverged between jobs=1 and jobs=4";
+}
+
+// same_artifacts is the check every sweep bench's cross-`--jobs` verdict
+// rests on: one differing metrics byte, report row or result count must
+// make it false.
+TEST(SweepDeterminismTest, SameArtifactsDetectsAnySingleDifference) {
+    const auto outcome = [] {
+        std::vector<sweep::JobSpec> jobs;
+        for (std::uint64_t id = 1; id <= 3; ++id) jobs.push_back(synthetic_job(id, 0.5));
+        sweep::SweepOutcome out = sweep::SweepRunner({.jobs = 1}).run(std::move(jobs));
+        for (sweep::JobResult& r : out.results) {
+            r.metrics = obs::JsonValue(obs::JsonValue::Object{{"name", "rtt_ns"}});
+        }
+        return out;
+    };
+    const sweep::SweepOutcome ref = outcome();
+    EXPECT_TRUE(ref.same_artifacts(outcome()));
+
+    sweep::SweepOutcome metrics_byte = outcome();
+    metrics_byte.results[1].metrics["name"] = "rtt_nS";
+    EXPECT_FALSE(ref.same_artifacts(metrics_byte));
+    EXPECT_FALSE(metrics_byte.same_artifacts(ref));
+
+    sweep::SweepOutcome report_row = outcome();
+    report_row.results[2].report["value"] = 0.25;
+    EXPECT_FALSE(ref.same_artifacts(report_row));
+
+    sweep::SweepOutcome fewer = outcome();
+    fewer.specs.pop_back();
+    fewer.results.pop_back();
+    EXPECT_FALSE(ref.same_artifacts(fewer));
+    EXPECT_FALSE(fewer.same_artifacts(ref));
 }
 
 // ---------------------------------------------------------------------------
