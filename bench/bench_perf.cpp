@@ -74,6 +74,9 @@ struct RunStats {
     // Buffer-pool counters from the run's simulator (hot-path evidence):
     std::uint64_t pool_acquires = 0;
     std::uint64_t pool_reuses = 0;
+    /// pool_acquires over every IP datagram sent or forwarded (deterministic;
+    /// gated in CI): a transit hop should draw no buffer at all.
+    double pool_acquires_per_datagram = 0.0;
     // Event-queue work per operation (deterministic; gated in CI):
     double shifts_per_push = 0.0;
     double scans_per_pop = 0.0;
@@ -188,6 +191,15 @@ RunStats run_scenario(const bench::HarnessOptions& opt, const PerfScenario& sc,
     r.sim_seconds = static_cast<double>(world.sim.now() - sim_start) / 1e9;
     r.pool_acquires = world.sim.buffer_pool().stats().acquires;
     r.pool_reuses = world.sim.buffer_pool().stats().reuses;
+    double datagrams = 0.0;
+    for (const auto& [key, gauge] : world.metrics.gauges()) {
+        const auto& [node, layer, name] = key;
+        if (layer == "ip" && (name == "packets_sent" || name == "packets_forwarded")) {
+            datagrams += gauge();
+        }
+    }
+    r.pool_acquires_per_datagram =
+        datagrams > 0 ? static_cast<double>(r.pool_acquires) / datagrams : 0.0;
     r.shifts_per_push = world.sim.queue_stats().shifts_per_push();
     r.scans_per_pop = world.sim.queue_stats().scans_per_pop();
     r.arena_acquires = world.sim.record_arena().stats().acquires;
@@ -226,6 +238,7 @@ obs::JsonValue::Object run_to_json(const RunStats& r) {
     o["reps"] = r.reps;
     o["pool_acquires"] = r.pool_acquires;
     o["pool_reuses"] = r.pool_reuses;
+    o["pool_acquires_per_datagram"] = r.pool_acquires_per_datagram;
     o["shifts_per_push"] = r.shifts_per_push;
     o["scans_per_pop"] = r.scans_per_pop;
     return o;

@@ -27,12 +27,13 @@ Rules:
     apply to full-scale documents. Budgets are absolute properties of
     the fresh run — no baseline needed — so they are still enforced
     when the trendline comparison passes vacuously.
-  - Event-queue work bounds: every run object of every scenario row
+  - Work-counter bounds: every run object of every scenario row
     (baseline, fault_attached, instrumented and the overhead legs)
-    must keep shifts_per_push and scans_per_pop within
-    QUEUE_WORK_BOUNDS. The counters are deterministic, so these bounds
-    bind on smoke documents too; rows without the fields (older
-    documents) are not checked.
+    must keep the event queue's shifts_per_push and scans_per_pop
+    within QUEUE_WORK_BOUNDS and the datapath's
+    pool_acquires_per_datagram within DATAPATH_WORK_BOUNDS. The
+    counters are deterministic, so these bounds bind on smoke documents
+    too; rows without the fields (older documents) are not checked.
 
 Exit status: 0 = no regression (or vacuous), 1 = regression or budget
 exceeded, 2 = usage.
@@ -63,12 +64,19 @@ CITY_OBS_BUDGET_PCT = 8.0
 # days from the head of the queue: 3.35 shifts per push (smoke `small`),
 # 1.23 scans per pop (full `small`, instrumented).
 QUEUE_WORK_BOUNDS = {"shifts_per_push": 6.7, "scans_per_pop": 2.5}
-QUEUE_WORK_RUNS = ("baseline", "fault_attached", "instrumented")
-QUEUE_WORK_OVERHEAD_RUNS = ("untraced", "traced", "sampled")
+# Twice the largest value measured on bench_perf's smoke and full rows
+# once routers forwarded transit datagrams in their received buffer:
+# 0.428 buffer-pool acquires per datagram sent or forwarded (full
+# `small`). Serializing every transit hop again read 1.14-1.21 on the
+# smoke rows.
+DATAPATH_WORK_BOUNDS = {"pool_acquires_per_datagram": 0.86}
+WORK_BOUNDS = {**QUEUE_WORK_BOUNDS, **DATAPATH_WORK_BOUNDS}
+WORK_RUNS = ("baseline", "fault_attached", "instrumented")
+WORK_OVERHEAD_RUNS = ("untraced", "traced", "sampled")
 
 
-def check_queue_work(fresh):
-    """Absolute bounds on the event queue's per-operation work counters.
+def check_work_counters(fresh):
+    """Absolute bounds on the per-operation work counters (WORK_BOUNDS).
 
     Returns a list of violation strings (empty = within bounds). Applies
     to smoke and full documents alike: the counters are deterministic.
@@ -76,15 +84,15 @@ def check_queue_work(fresh):
     violations = []
     for sc in fresh.get("scenarios", []):
         name = "scenario:" + sc.get("name", "?")
-        runs = [(leg, sc.get(leg)) for leg in QUEUE_WORK_RUNS]
+        runs = [(leg, sc.get(leg)) for leg in WORK_RUNS]
         overhead = sc.get("overhead") or {}
-        runs += [("overhead." + leg, overhead.get(leg)) for leg in QUEUE_WORK_OVERHEAD_RUNS]
+        runs += [("overhead." + leg, overhead.get(leg)) for leg in WORK_OVERHEAD_RUNS]
         for leg, run in runs:
-            for field, bound in QUEUE_WORK_BOUNDS.items():
+            for field, bound in WORK_BOUNDS.items():
                 if run and field in run and run[field] > bound:
                     violations.append(
                         f"{name}.{leg}: {field} {run[field]:.2f} exceeds "
-                        f"bound {bound:.1f}"
+                        f"bound {bound:.2f}"
                     )
     return violations
 
@@ -179,7 +187,7 @@ def main(argv):
         violations = []
     else:
         violations = check_overhead_budgets(fresh)
-    violations += check_queue_work(fresh)
+    violations += check_work_counters(fresh)
 
     if regressions or violations:
         if regressions:

@@ -11,9 +11,12 @@
 // correspondent only accepts a response that comes from the address it
 // sent to ("the correspondent host will have no way to associate the
 // reply with the packet that caused it", §6.5). The measured grid must
-// match classify_combo() — the paper's shading — exactly.
+// match classify_combo() — the paper's shading — exactly, and under a
+// visited network that filters foreign sources exactly the protocol-valid
+// Out-DH cells outside Row C must go dark; otherwise the binary exits 1.
 #include "common.h"
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -141,7 +144,11 @@ const char* class_mark(ComboClass c) {
     return "?";
 }
 
-void print_figure(const bench::HarnessOptions& opt) {
+/// Protocol-valid Out-DH cells outside Row C (In-IE and In-DE): the cells a
+/// visited network's egress anti-spoofing filter kills.
+constexpr int kFilteredDhFailures = 2;
+
+int print_figure(const bench::HarnessOptions& opt) {
     bench::print_header(
         "Figure 10: Internet Mobility 4x4 — the measured grid",
         "Each cell: measured works/FAILS (+ RTT ms, IPv4 bytes on all\n"
@@ -155,12 +162,16 @@ void print_figure(const bench::HarnessOptions& opt) {
     std::printf("\n");
 
     int mismatches = 0;
+    std::array<std::array<bool, kAllOutModes.size()>, kAllInModes.size()> clean_works{};
     GridCensus measured;
     std::vector<std::pair<std::string, std::string>> chains;
-    for (InMode in : kAllInModes) {
+    for (std::size_t row = 0; row < kAllInModes.size(); ++row) {
+        const InMode in = kAllInModes[row];
         std::printf("%-8s", to_string(in).c_str());
-        for (OutMode out : kAllOutModes) {
+        for (std::size_t col = 0; col < kAllOutModes.size(); ++col) {
+            const OutMode out = kAllOutModes[col];
             const CellResult cell = run_cell(in, out, /*foreign_filter=*/false, opt);
+            clean_works[row][col] = cell.works;
             chains.emplace_back("In-" + to_string(in) + " x Out-" + to_string(out),
                                 cell.decision_chain);
             const ComboClass predicted = classify_combo(in, out);
@@ -213,13 +224,19 @@ void print_figure(const bench::HarnessOptions& opt) {
     }
     std::printf("\n");
     int filtered_dh_failures = 0;
-    for (InMode in : kAllInModes) {
+    int filtered_other_changes = 0;
+    for (std::size_t row = 0; row < kAllInModes.size(); ++row) {
+        const InMode in = kAllInModes[row];
         std::printf("%-8s", to_string(in).c_str());
-        for (OutMode out : kAllOutModes) {
+        for (std::size_t col = 0; col < kAllOutModes.size(); ++col) {
+            const OutMode out = kAllOutModes[col];
             const bool works = run_cell(in, out, /*foreign_filter=*/true, opt).works;
-            if (!works && out == OutMode::DH &&
-                classify_combo(in, out) != ComboClass::Broken && in != InMode::DH) {
+            const bool valid_dh_outside_row_c = out == OutMode::DH && in != InMode::DH &&
+                                                classify_combo(in, out) != ComboClass::Broken;
+            if (!works && valid_dh_outside_row_c) {
                 ++filtered_dh_failures;
+            } else if (works != clean_works[row][col]) {
+                ++filtered_other_changes;
             }
             std::printf("  %-9s", works ? "ok" : "FAILS");
         }
@@ -229,8 +246,22 @@ void print_figure(const bench::HarnessOptions& opt) {
         "\nOut-DH now fails in %d protocol-valid cells: 'the best choice ...\n"
         "depends on ... the permissiveness of the networks over which the\n"
         "packets travel' (abstract). The Row C cell survives because\n"
-        "same-segment traffic never reaches the boundary router.\n\n",
+        "same-segment traffic never reaches the boundary router.\n",
         filtered_dh_failures);
+
+    bench::Verdict verdict;
+    verdict.check(mismatches == 0, "%d cell(s) of the measured grid disagree with the paper's.",
+                  mismatches);
+    verdict.check(filtered_dh_failures == kFilteredDhFailures,
+                  "egress filtering killed %d protocol-valid Out-DH cell(s) outside Row C, "
+                  "not %d.",
+                  filtered_dh_failures, kFilteredDhFailures);
+    verdict.check(filtered_other_changes == 0,
+                  "egress filtering changed %d other cell(s) of the grid.",
+                  filtered_other_changes);
+    return verdict.exit_status(
+        "Grid matches the paper's; egress filtering kills exactly the protocol-valid "
+        "Out-DH cells outside Row C.");
 }
 
 void BM_GridClassification(benchmark::State& state) {

@@ -238,17 +238,28 @@ int Verdict::exit_status(const char* success) const {
     return 0;
 }
 
-int bench_main(int argc, char** argv, void (*run)(const HarnessOptions&)) {
-    const HarnessOptions opt = parse_harness_options(&argc, argv);
-    run(opt);
-    // Under --smoke the microbenchmarks are skipped — bench_smoke only
-    // needs the figure tables and the snapshots they export.
-    if (opt.smoke) return 0;
+namespace {
+int run_microbenchmarks(int argc, char** argv) {
     ::benchmark::Initialize(&argc, argv);
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
     ::benchmark::RunSpecifiedBenchmarks();
     ::benchmark::Shutdown();
     return 0;
+}
+}  // namespace
+
+// Under --smoke the microbenchmarks are skipped — bench_smoke only needs
+// the figure tables and the snapshots they export.
+int bench_main(int argc, char** argv, void (*run)(const HarnessOptions&)) {
+    const HarnessOptions opt = parse_harness_options(&argc, argv);
+    run(opt);
+    return opt.smoke ? 0 : run_microbenchmarks(argc, argv);
+}
+
+int bench_main(int argc, char** argv, int (*run)(const HarnessOptions&)) {
+    const HarnessOptions opt = parse_harness_options(&argc, argv);
+    const int status = run(opt);
+    return opt.smoke || status != 0 ? status : run_microbenchmarks(argc, argv);
 }
 
 }  // namespace bench

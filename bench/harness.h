@@ -7,7 +7,8 @@
 //
 //     void print_figure(const bench::HarnessOptions& opt);
 //
-// callback via M4X4_BENCH_MAIN(print_figure). The flags:
+// callback via M4X4_BENCH_MAIN(print_figure) — or one returning `int`,
+// the figure's exit status, when it checks its own result. The flags:
 //
 //   --smoke            shrink scenarios, skip the google-benchmark
 //                      microbenchmarks (same as M4X4_SMOKE=1)
@@ -169,6 +170,9 @@ private:
 /// figure's table via @p run, then (outside --smoke) hand the remaining
 /// argv to google-benchmark. M4X4_BENCH_MAIN expands to exactly this.
 int bench_main(int argc, char** argv, void (*run)(const HarnessOptions&));
+/// The same for a figure that checks itself: @p run returns the exit
+/// status (a Verdict's), and a failed figure skips the microbenchmarks.
+int bench_main(int argc, char** argv, int (*run)(const HarnessOptions&));
 
 }  // namespace bench
 

@@ -205,6 +205,22 @@ class PerfTrendTest(unittest.TestCase):
             self.assertIn(field, out)
             self.assertIn("scenario:basic.baseline", out)
 
+    def test_pool_acquires_per_datagram_is_bounded(self):
+        # A router that serializes every transit hop again draws about one
+        # pool buffer per datagram; forwarding in the received buffer
+        # draws one per datagram sent only.
+        bound = check_perf_trend.DATAPATH_WORK_BOUNDS["pool_acquires_per_datagram"]
+        code, _, _ = self.check(
+            perf_doc(smoke=True),
+            perf_doc(smoke=True, queue_work={"pool_acquires_per_datagram": bound}))
+        self.assertEqual(code, 0)
+        code, out, _ = self.check(
+            perf_doc(smoke=True),
+            perf_doc(smoke=True, queue_work={"pool_acquires_per_datagram": 1.14}))
+        self.assertEqual(code, 1)
+        self.assertIn("pool_acquires_per_datagram", out)
+        self.assertIn("scenario:basic.baseline", out)
+
     def test_queue_work_checked_on_overhead_legs(self):
         fresh = perf_doc(smoke=True)
         fresh["scenarios"][0]["overhead"] = {"traced": {"shifts_per_push": 100.0}}

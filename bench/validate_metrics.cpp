@@ -131,8 +131,8 @@ const std::vector<SchemaSection>& exported_schema() {
          {"schema_version", "kind", "smoke", "hardware_concurrency", "scenarios",
           "name", "baseline", "fault_attached", "instrumented", "events",
           "wall_ms", "events_per_sec", "sim_seconds", "reps", "pool_acquires",
-          "pool_reuses", "shifts_per_push", "scans_per_pop",
-          "fault_attached_overhead_pct",
+          "pool_reuses", "pool_acquires_per_datagram", "shifts_per_push",
+          "scans_per_pop", "fault_attached_overhead_pct",
           "instrumentation_overhead_pct", "overhead", "untraced", "traced",
           "sampled", "sample_rate", "trace_records", "trace_sampled_out",
           "arena_acquires", "arena_allocations", "traced_overhead_pct",

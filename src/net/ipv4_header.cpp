@@ -1,5 +1,7 @@
 #include "net/ipv4_header.h"
 
+#include <array>
+
 #include "net/checksum.h"
 
 namespace mip::net {
@@ -11,23 +13,35 @@ constexpr std::uint16_t kFlagMf = 0x2000;
 constexpr std::uint16_t kOffsetMask = 0x1fff;
 }  // namespace
 
-void Ipv4Header::serialize(BufferWriter& w) const {
-    const std::size_t start = w.size();
-    w.u8(kVersionIhl);
-    w.u8(tos);
-    w.u16(total_length);
-    w.u16(identification);
+void Ipv4Header::serialize(std::span<std::uint8_t, kIpv4HeaderSize> out) const {
+    const auto put16 = [&out](std::size_t at, std::uint16_t v) {
+        out[at] = static_cast<std::uint8_t>(v >> 8);
+        out[at + 1] = static_cast<std::uint8_t>(v & 0xff);
+    };
+    const auto put32 = [&put16](std::size_t at, std::uint32_t v) {
+        put16(at, static_cast<std::uint16_t>(v >> 16));
+        put16(at + 2, static_cast<std::uint16_t>(v & 0xffff));
+    };
     std::uint16_t flags_offset = fragment_offset & kOffsetMask;
     if (dont_fragment) flags_offset |= kFlagDf;
     if (more_fragments) flags_offset |= kFlagMf;
-    w.u16(flags_offset);
-    w.u8(ttl);
-    w.u8(static_cast<std::uint8_t>(protocol));
-    w.u16(0);  // checksum placeholder
-    w.u32(src.value());
-    w.u32(dst.value());
-    const std::uint16_t csum = internet_checksum(w.view().subspan(start, kIpv4HeaderSize));
-    w.patch_u16(start + 10, csum);
+    out[0] = kVersionIhl;
+    out[1] = tos;
+    put16(2, total_length);
+    put16(4, identification);
+    put16(6, flags_offset);
+    out[8] = ttl;
+    out[9] = static_cast<std::uint8_t>(protocol);
+    put16(10, 0);  // checksum placeholder
+    put32(12, src.value());
+    put32(16, dst.value());
+    put16(10, internet_checksum(out));
+}
+
+void Ipv4Header::serialize(BufferWriter& w) const {
+    std::array<std::uint8_t, kIpv4HeaderSize> raw;
+    serialize(std::span(raw));
+    w.bytes(raw);
 }
 
 Ipv4Header Ipv4Header::parse(BufferReader& r) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "net/buffer.h"
 #include "net/ipv4_address.h"
@@ -35,6 +36,10 @@ struct Ipv4Header {
     /// Serializes the 20-byte header with a correct checksum. @p total_length
     /// must already be set (see Packet::build).
     void serialize(BufferWriter& w) const;
+    /// The same 20 bytes written over @p out — the one field layout both
+    /// forms share, so a router rewriting a received header in place
+    /// produces exactly the bytes Packet::to_wire() would.
+    void serialize(std::span<std::uint8_t, kIpv4HeaderSize> out) const;
 
     /// Parses and validates a header; throws ParseError on malformed input
     /// or checksum mismatch.

@@ -39,15 +39,6 @@ std::vector<std::uint8_t> Packet::to_wire(BufferPool& pool) const {
     return w.take();
 }
 
-bool Packet::decrement_ttl() noexcept {
-    if (header_.ttl <= 1) {
-        header_.ttl = 0;
-        return false;
-    }
-    --header_.ttl;
-    return true;
-}
-
 Packet make_packet(Ipv4Address src, Ipv4Address dst, IpProto proto,
                    std::vector<std::uint8_t> payload, std::uint8_t ttl,
                    std::uint16_t identification) {

@@ -53,10 +53,6 @@ public:
     std::uint64_t journey() const noexcept { return journey_; }
     void set_journey(std::uint64_t id) noexcept { journey_ = id; }
 
-    /// Decrements TTL in place; returns false when the TTL is exhausted
-    /// (the caller should drop the packet and may emit ICMP Time Exceeded).
-    bool decrement_ttl() noexcept;
-
 private:
     Ipv4Header header_;
     std::vector<std::uint8_t> payload_;

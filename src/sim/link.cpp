@@ -105,7 +105,8 @@ void Link::transmit(const Nic& sender, Frame frame) {
     // own copy of the frame because a NIC that detached (or moved to
     // another segment) while the frame was in flight must not receive it
     // and the others still must. Copies draw their payload storage from
-    // the simulator's buffer pool and return it right after delivery, so
+    // the simulator's buffer pool and return it right after delivery
+    // (unless the receiver took the payload to forward it), so
     // steady-state traffic recycles instead of allocating; the final
     // receiver takes the original frame by move (the unicast common case
     // never copies at all).

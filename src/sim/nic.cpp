@@ -35,7 +35,7 @@ void Nic::send(Frame frame) {
     link_->transmit(*this, std::move(frame));
 }
 
-void Nic::deliver(const Frame& frame) {
+void Nic::deliver(Frame& frame) {
     // A NIC that moved to a different link between scheduling and delivery
     // must not receive frames from the old segment.
     if (tap_) {

@@ -25,8 +25,12 @@ public:
     ~Nic();
 
     /// Handler invoked (at simulated delivery time) for each frame this NIC
-    /// accepts. Installed by the IP stack.
-    using FrameHandler = std::function<void(const Frame&)>;
+    /// accepts. Installed by the IP stack. The frame is this receiver's own
+    /// copy, so the handler may take its payload (a router forwards the
+    /// received buffer onward); the link returns whatever is left to the
+    /// simulator's buffer pool once the handler is done. A handler taking
+    /// `const Frame&` binds too.
+    using FrameHandler = std::function<void(Frame&)>;
     void set_handler(FrameHandler handler) { handler_ = std::move(handler); }
 
     void connect(Link& link);
@@ -37,8 +41,9 @@ public:
     /// Transmits a frame (no-op with a trace drop if disconnected).
     void send(Frame frame);
 
-    /// Called by Link at delivery time.
-    void deliver(const Frame& frame);
+    /// Called by Link at delivery time: the tap sees @p frame first, then
+    /// the handler gets it (and may take its payload).
+    void deliver(Frame& frame);
 
     MacAddress mac() const noexcept { return mac_; }
     Node& owner() const noexcept { return owner_; }

@@ -15,7 +15,7 @@ IpStack::IpStack(sim::Simulator& simulator, sim::Node& node)
 std::size_t IpStack::add_interface(sim::Nic& nic) {
     const std::size_t index = interfaces_.size();
     interfaces_.push_back(std::make_unique<Interface>(simulator_, nic));
-    nic.set_handler([this, index](const sim::Frame& frame) { on_frame(index, frame); });
+    nic.set_handler([this, index](sim::Frame& frame) { on_frame(index, frame); });
     return index;
 }
 
@@ -113,14 +113,17 @@ void IpStack::register_protocol(net::IpProto proto, ProtocolHandler handler) {
     protocols_[proto] = std::move(handler);
 }
 
-void IpStack::emit_trace(sim::TraceKind kind, const net::Packet* packet,
+void IpStack::emit_trace(sim::TraceKind kind, std::size_t size, std::uint64_t journey,
                          const sim::TraceDetail& detail) {
     if (trace_ == nullptr) return;
     trace_->record(kind, simulator_.now(), trace_->node_id(node_), nullptr,
-                   packet != nullptr
-                       ? static_cast<std::uint32_t>(packet->wire_size())
-                       : 0,
-                   0, packet != nullptr ? packet->journey() : 0, detail);
+                   static_cast<std::uint32_t>(size), 0, journey, detail);
+}
+
+void IpStack::emit_trace(sim::TraceKind kind, const net::Packet* packet,
+                         const sim::TraceDetail& detail) {
+    emit_trace(kind, packet != nullptr ? packet->wire_size() : 0,
+               packet != nullptr ? packet->journey() : 0, detail);
 }
 
 void IpStack::trace_packet(sim::TraceKind kind, const net::Packet& packet,
@@ -209,8 +212,7 @@ void IpStack::send(net::Packet packet, std::optional<FlowKey> flow_opt) {
                     packet.header().src = ifc.address();
                 }
                 ++stats_.packets_sent;
-                const net::Ipv4Address group = packet.header().dst;
-                transmit(std::move(packet), i, group);
+                transmit(packet, i, packet.header().dst);
                 return;
             }
         }
@@ -252,7 +254,7 @@ void IpStack::send(net::Packet packet, std::optional<FlowKey> flow_opt) {
             }
             net::Ipv4Address next_hop =
                 res.next_hop.is_unspecified() ? packet.header().dst : res.next_hop;
-            transmit(std::move(packet), res.interface_index, next_hop);
+            transmit(packet, res.interface_index, next_hop);
             return;
         }
         case Resolution::Kind::Table:
@@ -280,37 +282,51 @@ void IpStack::send(net::Packet packet, std::optional<FlowKey> flow_opt) {
         return;
     }
     const net::Ipv4Address next_hop = entry->on_link() ? packet.header().dst : entry->gateway;
-    transmit(std::move(packet), entry->interface_index, next_hop);
+    transmit(packet, entry->interface_index, next_hop);
 }
 
-void IpStack::transmit(net::Packet packet, std::size_t interface_index,
+bool IpStack::interface_up(std::size_t interface_index, std::size_t size,
+                           std::uint64_t journey) {
+    const Interface& out = iface(interface_index);
+    if (out.is_physical() && out.nic() != nullptr && out.nic()->connected()) {
+        return true;
+    }
+    ++stats_.no_route_drops;
+    emit_trace(sim::TraceKind::NoRoute, size, journey,
+               sim::TraceDetail::args(sim::TraceDetailKind::InterfaceDown, 0));
+    return false;
+}
+
+void IpStack::transmit(const net::Packet& packet, std::size_t interface_index,
                        net::Ipv4Address next_hop) {
-    Interface& out = iface(interface_index);
-    if (!out.is_physical() || out.nic() == nullptr || !out.nic()->connected()) {
-        ++stats_.no_route_drops;
-        emit_trace(sim::TraceKind::NoRoute, &packet,
-                   sim::TraceDetail::args(sim::TraceDetailKind::InterfaceDown, 0));
+    if (!interface_up(interface_index, packet.wire_size(), packet.journey())) {
         return;
     }
     // Egress filters run on the full datagram before fragmentation.
-    if (!run_filters(egress_filters_[interface_index], packet,
-                     &stats_.egress_filter_drops)) {
+    if (const auto* rule = dropping_rule(egress_filters_, interface_index, packet.header())) {
+        filter_drop(*rule, packet, &stats_.egress_filter_drops);
         return;
     }
-    const std::size_t mtu = out.mtu();
+    if (packet.wire_size() <= iface(interface_index).mtu()) {
+        transmit_one(packet, interface_index, next_hop);
+        return;
+    }
+    transmit_fragments(packet, interface_index, next_hop);
+}
+
+void IpStack::transmit_fragments(const net::Packet& packet, std::size_t interface_index,
+                                 net::Ipv4Address next_hop) {
     std::vector<net::Packet> pieces;
     try {
-        pieces = net::fragment(packet, mtu);
+        pieces = net::fragment(packet, iface(interface_index).mtu());
     } catch (const std::invalid_argument&) {
         emit_trace(sim::TraceKind::FrameTooBig, &packet,
                    sim::TraceDetail::args(sim::TraceDetailKind::DfExceedsMtu, 0));
         return;
     }
-    if (pieces.size() > 1) {
-        stats_.fragments_sent += pieces.size();
-    }
-    for (auto& piece : pieces) {
-        transmit_one(std::move(piece), interface_index, next_hop);
+    stats_.fragments_sent += pieces.size();
+    for (const auto& piece : pieces) {
+        transmit_one(piece, interface_index, next_hop);
     }
 }
 
@@ -325,31 +341,59 @@ void IpStack::send_direct(net::Packet packet, std::size_t interface_index,
     if (next_hop.is_unspecified()) {
         next_hop = packet.header().dst;
     }
-    transmit(std::move(packet), interface_index, next_hop);
+    transmit(packet, interface_index, next_hop);
 }
 
-void IpStack::transmit_one(net::Packet fragment, std::size_t interface_index,
+void IpStack::transmit_one(const net::Packet& fragment, std::size_t interface_index,
                            net::Ipv4Address next_hop) {
-    Interface& out = iface(interface_index);
-    arp::ArpEngine* arp = out.arp();
-    sim::Nic* nic = out.nic();
-    const std::uint64_t journey = fragment.journey();
     // Wire bytes come out of the world's buffer pool; the link layer
     // releases them back once the frame is delivered (or dropped).
-    auto wire = fragment.to_wire(simulator_.buffer_pool());
+    transmit_wire(fragment.to_wire(simulator_.buffer_pool()), fragment.journey(),
+                  interface_index, next_hop);
+}
+
+namespace {
+void send_frame(sim::Nic& nic, sim::MacAddress dst, std::vector<std::uint8_t>&& wire,
+                std::uint64_t journey) {
+    sim::Frame frame;
+    frame.dst = dst;
+    frame.type = net::EtherType::Ipv4;
+    frame.payload = std::move(wire);
+    frame.journey = journey;
+    nic.send(std::move(frame));
+}
+
+/// @p bytes (a datagram whose parsed header is @p header) as a Packet, for
+/// the paths that need one: local delivery, interceptors, filter drops and
+/// fragmentation. Equal to Packet::from_wire(bytes) with @p header's fields.
+net::Packet packet_of(std::span<const std::uint8_t> bytes, const net::Ipv4Header& header,
+                      std::uint64_t journey) {
+    const auto payload = bytes.subspan(net::kIpv4HeaderSize,
+                                       header.total_length - net::kIpv4HeaderSize);
+    net::Packet packet(header, std::vector<std::uint8_t>(payload.begin(), payload.end()));
+    packet.set_journey(journey);
+    return packet;
+}
+}  // namespace
+
+void IpStack::transmit_wire(std::vector<std::uint8_t> wire, std::uint64_t journey,
+                            std::size_t interface_index, net::Ipv4Address next_hop) {
+    Interface& out = iface(interface_index);
+    sim::Nic* nic = out.nic();
     if (next_hop.is_broadcast() || next_hop.is_multicast()) {
-        sim::Frame frame;
-        frame.dst = next_hop.is_broadcast()
-                        ? sim::MacAddress::broadcast()
-                        : sim::MacAddress::multicast_for(next_hop.value());
-        frame.type = net::EtherType::Ipv4;
-        frame.payload = std::move(wire);
-        frame.journey = journey;
-        nic->send(std::move(frame));
+        send_frame(*nic,
+                   next_hop.is_broadcast() ? sim::MacAddress::broadcast()
+                                           : sim::MacAddress::multicast_for(next_hop.value()),
+                   std::move(wire), journey);
         return;
     }
-    arp->resolve(next_hop, [this, nic, journey, wire = std::move(wire)](
-                               std::optional<sim::MacAddress> mac) mutable {
+    // A cache hit sends at once, without wrapping the buffer in a callback.
+    if (const auto mac = out.arp()->lookup(next_hop)) {
+        send_frame(*nic, *mac, std::move(wire), journey);
+        return;
+    }
+    out.arp()->resolve(next_hop, [this, nic, journey, wire = std::move(wire)](
+                                     std::optional<sim::MacAddress> mac) mutable {
         if (!mac) {
             ++stats_.arp_failures;
             emit_trace(sim::TraceKind::NoRoute, nullptr,
@@ -357,16 +401,11 @@ void IpStack::transmit_one(net::Packet fragment, std::size_t interface_index,
             simulator_.buffer_pool().release(std::move(wire));
             return;
         }
-        sim::Frame frame;
-        frame.dst = *mac;
-        frame.type = net::EtherType::Ipv4;
-        frame.payload = std::move(wire);
-        frame.journey = journey;
-        nic->send(std::move(frame));
+        send_frame(*nic, *mac, std::move(wire), journey);
     });
 }
 
-void IpStack::on_frame(std::size_t interface_index, const sim::Frame& frame) {
+void IpStack::on_frame(std::size_t interface_index, sim::Frame& frame) {
     switch (frame.type) {
         case net::EtherType::Arp: {
             Interface& ifc = iface(interface_index);
@@ -381,89 +420,122 @@ void IpStack::on_frame(std::size_t interface_index, const sim::Frame& frame) {
     }
 }
 
-void IpStack::on_ip_frame(std::size_t interface_index, const sim::Frame& frame) {
-    net::Packet packet;
+void IpStack::on_ip_frame(std::size_t interface_index, sim::Frame& frame) {
+    net::Ipv4Header header;
     try {
-        packet = net::Packet::from_wire(frame.payload);
+        net::BufferReader r(frame.payload);
+        header = net::Ipv4Header::parse(r);
     } catch (const net::ParseError&) {
         return;  // corrupted packets vanish, as on a real wire
     }
-    // The journey id rode beside the wire bytes; pick it back up so this
+    if (header.total_length > frame.payload.size()) {
+        return;  // truncated (Packet::from_wire refuses these too)
+    }
+    // The journey id rode beside the wire bytes; carry it on so this
     // stack's events stay correlated with the sender's.
-    packet.set_journey(frame.journey);
+    const std::uint64_t journey = frame.journey;
     ++stats_.packets_received;
 
-    if (!run_filters(ingress_filters_[interface_index], packet,
-                     &stats_.ingress_filter_drops)) {
+    if (const auto* rule = dropping_rule(ingress_filters_, interface_index, header)) {
+        filter_drop(*rule, packet_of(frame.payload, header, journey),
+                    &stats_.ingress_filter_drops);
         return;
     }
 
-    if (packet.header().dst.is_multicast()) {
+    if (header.dst.is_multicast()) {
         // Multicast is link-scoped in this simulator (no IGMP/DVMRP):
         // deliver if joined, never forward.
-        if (joined_groups_.contains(packet.header().dst)) {
-            deliver_local(packet, interface_index);
+        if (joined_groups_.contains(header.dst)) {
+            deliver_local(packet_of(frame.payload, header, journey), interface_index);
         }
         return;
     }
-    if (is_local_address(packet.header().dst) || packet.header().dst.is_broadcast()) {
-        deliver_local(packet, interface_index);
+    if (is_local_address(header.dst) || header.dst.is_broadcast()) {
+        deliver_local(packet_of(frame.payload, header, journey), interface_index);
         return;
     }
-    forward(std::move(packet), interface_index);
+    forward(interface_index, header, frame);
 }
 
-void IpStack::forward(net::Packet packet, std::size_t in_interface) {
-    if (forward_interceptor_ && forward_interceptor_(packet, in_interface)) {
+void IpStack::forward(std::size_t in_interface, net::Ipv4Header header, sim::Frame& frame) {
+    const std::uint64_t journey = frame.journey;
+    if (forward_interceptor_ &&
+        forward_interceptor_(packet_of(frame.payload, header, journey), in_interface)) {
         return;  // consumed (e.g. home agent captured a proxy-ARP'd packet)
     }
     if (!forwarding_) {
         return;  // hosts silently drop traffic not addressed to them
     }
-    if (!packet.decrement_ttl()) {
+    const std::size_t size = header.total_length;
+    if (header.ttl <= 1) {
         ++stats_.ttl_drops;
-        emit_trace(sim::TraceKind::TtlExpired, &packet,
-                   sim::TraceDetail::args(sim::TraceDetailKind::Dst,
-                                          packet.header().dst.value()));
+        emit_trace(sim::TraceKind::TtlExpired, size, journey,
+                   sim::TraceDetail::args(sim::TraceDetailKind::Dst, header.dst.value()));
         return;
     }
-    auto entry = routes_.lookup(packet.header().dst);
+    --header.ttl;
+    auto entry = routes_.lookup(header.dst);
     if (!entry) {
         ++stats_.no_route_drops;
-        emit_trace(sim::TraceKind::NoRoute, &packet,
+        emit_trace(sim::TraceKind::NoRoute, size, journey,
                    sim::TraceDetail::args(sim::TraceDetailKind::NoRouteForward,
-                                          packet.header().dst.value()));
+                                          header.dst.value()));
         return;
     }
     ++stats_.packets_forwarded;
-    const net::Ipv4Address next_hop = entry->on_link() ? packet.header().dst : entry->gateway;
-    emit_trace(sim::TraceKind::PacketForwarded, &packet,
-               sim::TraceDetail::args(sim::TraceDetailKind::DstVia,
-                                      packet.header().dst.value(), next_hop.value()));
-    transmit(std::move(packet), entry->interface_index, next_hop);
+    const net::Ipv4Address next_hop = entry->on_link() ? header.dst : entry->gateway;
+    emit_trace(sim::TraceKind::PacketForwarded, size, journey,
+               sim::TraceDetail::args(sim::TraceDetailKind::DstVia, header.dst.value(),
+                                      next_hop.value()));
+
+    const std::size_t out_index = entry->interface_index;
+    if (!interface_up(out_index, size, journey)) {
+        return;
+    }
+    if (const auto* rule = dropping_rule(egress_filters_, out_index, header)) {
+        filter_drop(*rule, packet_of(frame.payload, header, journey),
+                    &stats_.egress_filter_drops);
+        return;
+    }
+    if (size > iface(out_index).mtu()) {
+        transmit_fragments(packet_of(frame.payload, header, journey), out_index, next_hop);
+        return;
+    }
+    // The datagram fits: trim any trailing bytes, rewrite the header in
+    // place, and send the received buffer itself.
+    std::vector<std::uint8_t> wire = std::move(frame.payload);
+    wire.resize(size);
+    header.serialize(std::span<std::uint8_t, net::kIpv4HeaderSize>(wire.data(),
+                                                                  net::kIpv4HeaderSize));
+    transmit_wire(std::move(wire), journey, out_index, next_hop);
 }
 
-bool IpStack::run_filters(
-    const std::vector<std::shared_ptr<const routing::FilterRule>>& rules,
-    const net::Packet& packet, std::size_t* drop_counter) {
-    const net::Ipv4Header& header = packet.header();
-    for (const auto& rule : rules) {
+const routing::FilterRule* IpStack::dropping_rule(const FilterMap& filters,
+                                                  std::size_t interface_index,
+                                                  const net::Ipv4Header& header) {
+    const auto it = filters.find(interface_index);
+    if (it == filters.end()) return nullptr;
+    for (const auto& rule : it->second) {
         if (rule->evaluate(header) == routing::FilterVerdict::Drop) {
-            ++*drop_counter;
-            // describe() allocates, but only on the (cold) drop path; the
-            // view is interned before this full-expression ends.
-            const std::string rule_text = rule->describe();
-            emit_trace(sim::TraceKind::FilterDrop, &packet,
-                       sim::TraceDetail::with_text(sim::TraceDetailKind::FilterRule,
-                                                   rule_text, header.src.value(),
-                                                   header.dst.value()));
-            if (filter_feedback_) {
-                send_filter_feedback(packet);
-            }
-            return false;
+            return rule.get();
         }
     }
-    return true;
+    return nullptr;
+}
+
+void IpStack::filter_drop(const routing::FilterRule& rule, const net::Packet& packet,
+                          std::size_t* drop_counter) {
+    ++*drop_counter;
+    // describe() allocates, but only on the (cold) drop path; the view is
+    // interned before this full-expression ends.
+    const std::string rule_text = rule.describe();
+    emit_trace(sim::TraceKind::FilterDrop, &packet,
+               sim::TraceDetail::with_text(sim::TraceDetailKind::FilterRule, rule_text,
+                                           packet.header().src.value(),
+                                           packet.header().dst.value()));
+    if (filter_feedback_) {
+        send_filter_feedback(packet);
+    }
 }
 
 void IpStack::send_filter_feedback(const net::Packet& dropped) {

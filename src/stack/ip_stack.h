@@ -38,6 +38,8 @@ public:
     /// Hook consulted for every packet that would be *forwarded* (arrived
     /// here but addressed elsewhere). Returns true when the hook consumed
     /// the packet. The home agent's proxy-ARP capture path registers one.
+    /// Installing a hook costs a Packet copy of every transit datagram;
+    /// without one, transit datagrams never leave their received buffer.
     using ForwardInterceptor = std::function<bool(const net::Packet&, std::size_t in_interface)>;
 
     IpStack(sim::Simulator& simulator, sim::Node& node);
@@ -193,20 +195,46 @@ public:
     static constexpr std::size_t kNoInterface = static_cast<std::size_t>(-1);
 
 private:
-    void on_frame(std::size_t interface_index, const sim::Frame& frame);
-    void on_ip_frame(std::size_t interface_index, const sim::Frame& frame);
-    void forward(net::Packet packet, std::size_t in_interface);
-    /// Resolves next hop + transmits on a physical interface (fragmenting
-    /// to the link MTU and ARP-resolving the next hop).
-    void transmit(net::Packet packet, std::size_t interface_index, net::Ipv4Address next_hop);
-    void transmit_one(net::Packet fragment, std::size_t interface_index,
+    using FilterMap =
+        std::map<std::size_t, std::vector<std::shared_ptr<const routing::FilterRule>>>;
+
+    void on_frame(std::size_t interface_index, sim::Frame& frame);
+    /// Parses the header once; builds a Packet only for local delivery and
+    /// filter drops, and hands everything else to forward().
+    void on_ip_frame(std::size_t interface_index, sim::Frame& frame);
+    /// Forwards the datagram in @p frame (whose parsed header is @p header)
+    /// in its received buffer: the header is rewritten in place and the
+    /// same bytes go out. Interceptors, filter drops and fragmentation get
+    /// a Packet copy instead.
+    void forward(std::size_t in_interface, net::Ipv4Header header, sim::Frame& frame);
+    /// Transmits @p packet on a physical interface: egress filters, then
+    /// fragmentation to the link MTU when it does not fit.
+    void transmit(const net::Packet& packet, std::size_t interface_index,
+                  net::Ipv4Address next_hop);
+    void transmit_fragments(const net::Packet& packet, std::size_t interface_index,
+                            net::Ipv4Address next_hop);
+    void transmit_one(const net::Packet& fragment, std::size_t interface_index,
                       net::Ipv4Address next_hop);
-    bool run_filters(const std::vector<std::shared_ptr<const routing::FilterRule>>& rules,
-                     const net::Packet& packet, std::size_t* drop_counter);
+    /// Frames serialized datagram bytes to @p next_hop's MAC (ARP cache
+    /// first, then resolution) and sends them out @p interface_index.
+    void transmit_wire(std::vector<std::uint8_t> wire, std::uint64_t journey,
+                       std::size_t interface_index, net::Ipv4Address next_hop);
+    /// True when @p interface_index is a connected physical interface;
+    /// otherwise counts and traces the drop of a datagram of @p size bytes.
+    bool interface_up(std::size_t interface_index, std::size_t size, std::uint64_t journey);
+    /// The first rule installed on @p interface_index that drops @p header.
+    static const routing::FilterRule* dropping_rule(const FilterMap& filters,
+                                                    std::size_t interface_index,
+                                                    const net::Ipv4Header& header);
+    /// Counts and traces a filter drop; sends ICMP feedback when enabled.
+    void filter_drop(const routing::FilterRule& rule, const net::Packet& packet,
+                     std::size_t* drop_counter);
     /// ICMP "administratively prohibited" back to the dropped packet's
     /// source (when filter feedback is on).
     void send_filter_feedback(const net::Packet& dropped);
     void handle_icmp(const net::Packet& packet, std::size_t in_interface);
+    void emit_trace(sim::TraceKind kind, std::size_t size, std::uint64_t journey,
+                    const sim::TraceDetail& detail);
     void emit_trace(sim::TraceKind kind, const net::Packet* packet,
                     const sim::TraceDetail& detail);
     /// Assigns a journey id if the packet doesn't have one yet (i.e. this
@@ -222,10 +250,8 @@ private:
     bool forwarding_ = false;
     bool filter_feedback_ = false;
     ForwardInterceptor forward_interceptor_;
-    std::map<std::size_t, std::vector<std::shared_ptr<const routing::FilterRule>>>
-        ingress_filters_;
-    std::map<std::size_t, std::vector<std::shared_ptr<const routing::FilterRule>>>
-        egress_filters_;
+    FilterMap ingress_filters_;
+    FilterMap egress_filters_;
     std::map<net::Ipv4Address, int> local_addresses_;  ///< refcounted
     std::set<net::Ipv4Address> joined_groups_;
     MulticastObserver multicast_observer_;

@@ -188,14 +188,6 @@ TEST(Packet, WireRoundTrip) {
     EXPECT_EQ(q.payload()[2], 3);
 }
 
-TEST(Packet, TtlDecrement) {
-    auto p = make_packet("1.1.1.1"_ip, "2.2.2.2"_ip, IpProto::Udp, {}, /*ttl=*/2);
-    EXPECT_TRUE(p.decrement_ttl());
-    EXPECT_EQ(p.header().ttl, 1);
-    EXPECT_FALSE(p.decrement_ttl());
-    EXPECT_EQ(p.header().ttl, 0);
-}
-
 TEST(Packet, FromWireRejectsShortBuffer) {
     auto p = make_packet("1.1.1.1"_ip, "2.2.2.2"_ip, IpProto::Udp,
                          std::vector<std::uint8_t>(10, 0));
