@@ -1,6 +1,6 @@
 // bench_city — the city-scale metro scenario (ISSUE 6 tentpole cap).
 //
-// Five sections, one JSON "city" block in BENCH_perf.json:
+// Four sections, one JSON "city" block in BENCH_perf.json:
 //
 //   seed sweep     SweepRunner drives one CitySim per seed (full: 4 seeds
 //                  x 12,000 hosts across 144 cells; smoke: 2 x 600 across
@@ -16,14 +16,11 @@
 //   find_link      before/after microbenchmark of World::find_link on a
 //                  256-router backbone: the name index vs the seed's
 //                  linear scan (ISSUE 6 satellite).
-//   scheduler      the same city under SchedulerKind::BinaryHeap vs the
-//                  calendar queue: identical events and byte-identical
-//                  snapshots required, median wall times compared. The
-//                  calendar run's events/sec is the single-core city
-//                  figure the perf trendline tracks.
 //   observability  the seed-1 city with the MetricsSampler on vs off —
-//                  the city-scale observability overhead, gated at 10%
-//                  by check_perf_trend.py (ISSUE 7).
+//                  the city-scale observability overhead, gated by
+//                  check_perf_trend.py. The sampler-on run's events/sec
+//                  is the single-core city figure the perf trendline
+//                  tracks.
 //
 // Wall-clock numbers land in BENCH_perf.json next to bench_perf's
 // (merged, not overwritten); everything else the binary emits is
@@ -51,7 +48,6 @@ struct CityParams {
     std::uint32_t storm_threshold;
     sim::Duration metrics_interval;
     std::size_t probes_per_sweep;
-    bool sampler_delta = true;  ///< delta vs full-walk sampler (obs section)
 };
 
 CityParams params(const bench::HarnessOptions& opt) {
@@ -64,8 +60,7 @@ CityParams params(const bench::HarnessOptions& opt) {
     return p;
 }
 
-metro::CityConfig city_config(const CityParams& p, std::uint64_t seed,
-                              sim::SchedulerKind scheduler) {
+metro::CityConfig city_config(const CityParams& p, std::uint64_t seed) {
     metro::CityConfig cfg;
     cfg.metro.cells_x = p.grid;
     cfg.metro.cells_y = p.grid;
@@ -73,13 +68,11 @@ metro::CityConfig city_config(const CityParams& p, std::uint64_t seed,
     cfg.population.hosts = p.hosts;
     cfg.population.seed = seed;
     cfg.population.metro_lines = p.metro_lines;
-    cfg.scheduler = scheduler;
     cfg.duration = p.duration;
     cfg.registration_lifetime = p.registration_lifetime;
     cfg.storm_threshold = p.storm_threshold;
     cfg.metrics_interval = p.metrics_interval;
     cfg.probes_per_sweep = p.probes_per_sweep;
-    cfg.sampler_delta = p.sampler_delta;
     // The online storm detector (ISSUE 8): a rate-spike monitor over the
     // aggregate handoff counter, evaluated every 5 s. The floor scales
     // with the population so the smoke city's waves register too.
@@ -103,7 +96,7 @@ std::vector<sweep::JobSpec> seed_jobs(const CityParams& p,
         const std::uint64_t seed = static_cast<std::uint64_t>(s) + 1;
         const std::string label = "seed" + std::to_string(seed);
         jobs.push_back({static_cast<std::uint64_t>(s), label, [p, seed, label, opt] {
-            metro::CitySim city(city_config(p, seed, sim::SchedulerKind::Calendar));
+            metro::CitySim city(city_config(p, seed));
             city.run();
 
             sweep::JobResult r;
@@ -186,113 +179,63 @@ obs::JsonValue::Object measure_find_link(const bench::HarnessOptions& opt) {
     return o;
 }
 
-struct SchedRun {
+struct CityRun {
     std::uint64_t events = 0;
     double wall_ms = 0.0;
-    std::string snapshot;
 };
 
-SchedRun run_city_once(const CityParams& p, sim::SchedulerKind kind) {
-    metro::CitySim city(city_config(p, 1, kind));
+CityRun run_city_once(const CityParams& p) {
+    metro::CitySim city(city_config(p, 1));
     const auto t0 = std::chrono::steady_clock::now();
     city.run();
     const auto t1 = std::chrono::steady_clock::now();
-    SchedRun r;
-    r.events = city.events_fired();
-    r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-    r.snapshot = city.snapshot_json("bench_city", "sched");
-    return r;
-}
-
-/// Seed scheduler vs calendar queue on the seed-1 city: byte-identical
-/// behaviour required, median wall times compared.
-obs::JsonValue::Object measure_scheduler(const bench::HarnessOptions& opt,
-                                         const CityParams& p, bool& identical_out,
-                                         double& calendar_events_per_sec) {
-    const int reps = opt.pick(3, 2);
-    const auto median = [&](sim::SchedulerKind kind) {
-        std::vector<SchedRun> runs;
-        run_city_once(p, kind);  // warm-up, discarded
-        for (int i = 0; i < reps; ++i) runs.push_back(run_city_once(p, kind));
-        std::sort(runs.begin(), runs.end(),
-                  [](const SchedRun& a, const SchedRun& b) { return a.wall_ms < b.wall_ms; });
-        return runs[runs.size() / 2];
-    };
-
-    const SchedRun heap = median(sim::SchedulerKind::BinaryHeap);
-    const SchedRun cal = median(sim::SchedulerKind::Calendar);
-    const bool identical = heap.events == cal.events && heap.snapshot == cal.snapshot;
-    const double speedup = cal.wall_ms > 0 ? heap.wall_ms / cal.wall_ms : 0.0;
-    calendar_events_per_sec =
-        cal.wall_ms > 0 ? static_cast<double>(cal.events) / (cal.wall_ms / 1e3) : 0.0;
-    identical_out = identical;
-
-    std::printf("\nscheduler comparison (seed-1 city, %" PRIu64
-                " events, median of %d):\n",
-                cal.events, reps);
-    std::printf("  binary heap %10.1f ms   calendar queue %10.1f ms   %.2fx   identical=%s\n",
-                heap.wall_ms, cal.wall_ms, speedup, bench::yn(identical));
-
-    obs::JsonValue::Object o;
-    o["events"] = cal.events;
-    o["heap_wall_ms"] = heap.wall_ms;
-    o["calendar_wall_ms"] = cal.wall_ms;
-    o["speedup"] = speedup;
-    o["identical"] = identical;
-    o["reps"] = reps;
-    return o;
+    return {city.events_fired(), std::chrono::duration<double, std::milli>(t1 - t0).count()};
 }
 
 /// ISSUE 7 / PR 8: the city-scale observability overhead — the same
-/// seed-1 city under three sampling strategies: off entirely, the
-/// delta-sampled dirty feed (the product default since PR 8), and the
-/// full-walk reference path. overhead_pct (delta vs off) is the number
-/// check_perf_trend.py gates; fullwalk_overhead_pct documents what the
-/// dirty-feed rebuild buys at city scale. (CitySim has no per-packet
-/// trace recorder — its observability cost is the sampler plus the
-/// arena-backed decision log, which is exactly what this isolates.)
+/// seed-1 city with the MetricsSampler off and on (the product default:
+/// it takes the registry's dirty feed). overhead_pct is the number
+/// check_perf_trend.py gates. (CitySim has no per-packet trace recorder
+/// — its observability cost is the sampler plus the arena-backed
+/// decision log, which is exactly what this isolates.) The sampler-on
+/// leg's median also yields @p events_per_sec.
 obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
-                                             const CityParams& p) {
+                                             const CityParams& p, double& events_per_sec) {
     const int reps = opt.pick(3, 2);
     CityParams off = p;
     off.metrics_interval = 0;  // sampler never constructed
-    CityParams delta = p;
-    delta.sampler_delta = true;
-    CityParams walk = p;
-    walk.sampler_delta = false;
 
-    // Interleaved reps (off, delta, walk, off, ...): measuring all reps
-    // of one configuration in a block lets machine-state drift across the
+    // Interleaved reps (off, on, off, ...): measuring all reps of one
+    // configuration in a block lets machine-state drift across the
     // blocks masquerade as sampler overhead; alternating spreads it.
-    run_city_once(off, sim::SchedulerKind::Calendar);  // warm-up, discarded
-    run_city_once(delta, sim::SchedulerKind::Calendar);
-    std::vector<double> off_walls, delta_walls, walk_walls;
+    run_city_once(off);  // warm-up, discarded
+    run_city_once(p);
+    std::vector<double> off_walls, on_walls;
+    std::uint64_t events = 0;
     for (int i = 0; i < reps; ++i) {
-        off_walls.push_back(run_city_once(off, sim::SchedulerKind::Calendar).wall_ms);
-        delta_walls.push_back(run_city_once(delta, sim::SchedulerKind::Calendar).wall_ms);
-        walk_walls.push_back(run_city_once(walk, sim::SchedulerKind::Calendar).wall_ms);
+        off_walls.push_back(run_city_once(off).wall_ms);
+        const CityRun on = run_city_once(p);
+        events = on.events;
+        on_walls.push_back(on.wall_ms);
     }
     const auto median = [](std::vector<double>& walls) {
         std::sort(walls.begin(), walls.end());
         return walls[walls.size() / 2];
     };
     const double off_ms = median(off_walls);
-    const double delta_ms = median(delta_walls);
-    const double walk_ms = median(walk_walls);
-    const double pct = off_ms > 0 ? (delta_ms - off_ms) / off_ms * 100.0 : 0.0;
-    const double walk_pct = off_ms > 0 ? (walk_ms - off_ms) / off_ms * 100.0 : 0.0;
+    const double on_ms = median(on_walls);
+    const double pct = off_ms > 0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
+    events_per_sec = on_ms > 0 ? static_cast<double>(events) / (on_ms / 1e3) : 0.0;
 
-    std::printf("\nobservability overhead (seed-1 city, median of %d):\n", reps);
-    std::printf("  sampler off %10.1f ms   delta %10.1f ms (%+.1f%%)   full walk "
-                "%10.1f ms (%+.1f%%)\n",
-                off_ms, delta_ms, pct, walk_ms, walk_pct);
+    std::printf("\nobservability overhead (seed-1 city, %" PRIu64 " events, median of %d):\n",
+                events, reps);
+    std::printf("  sampler off %10.1f ms   sampler on %10.1f ms (%+.1f%%)\n", off_ms, on_ms,
+                pct);
 
     obs::JsonValue::Object o;
     o["sampler_off_wall_ms"] = off_ms;
-    o["sampler_on_wall_ms"] = delta_ms;
-    o["fullwalk_wall_ms"] = walk_ms;
+    o["sampler_on_wall_ms"] = on_ms;
     o["overhead_pct"] = pct;
-    o["fullwalk_overhead_pct"] = walk_pct;
     o["metrics_interval_s"] = sim::to_seconds(p.metrics_interval);
     o["reps"] = reps;
     return o;
@@ -304,9 +247,7 @@ int print_figure(const bench::HarnessOptions& opt) {
         "A hierarchical metro topology (backbone -> regionals -> radio\n"
         "cells) carrying a seeded population of commuter flocks, transit\n"
         "riders and solo walkers. The seed sweep must be byte-identical\n"
-        "at any --jobs; the scheduler section runs the same city on the\n"
-        "seed binary heap and the calendar queue and requires identical\n"
-        "behaviour before comparing wall clocks.");
+        "at any --jobs.");
 
     const CityParams p = params(opt);
 
@@ -339,11 +280,8 @@ int print_figure(const bench::HarnessOptions& opt) {
     }
     // Sections 3 and 4.
     obs::JsonValue::Object find_link = measure_find_link(opt);
-    bool sched_identical = false;
     double events_per_sec = 0.0;
-    obs::JsonValue::Object scheduler =
-        measure_scheduler(opt, p, sched_identical, events_per_sec);
-    obs::JsonValue::Object observability = measure_observability(opt, p);
+    obs::JsonValue::Object observability = measure_observability(opt, p, events_per_sec);
 
     obs::JsonValue::Object city;
     city["smoke"] = opt.smoke;
@@ -359,20 +297,16 @@ int print_figure(const bench::HarnessOptions& opt) {
     city["artifacts_identical"] = sweep.identical;
     city["compare_jobs"] = sweep.compare_jobs;
     city["find_link"] = std::move(find_link);
-    city["scheduler"] = std::move(scheduler);
     city["observability"] = std::move(observability);
     bench::merge_perf_block(opt, "city", std::move(city));
 
-    std::printf("\ncity events/sec (single core, calendar queue): %.0f\n", events_per_sec);
+    std::printf("\ncity events/sec (single core, sampler on): %.0f\n", events_per_sec);
 
     bench::Verdict verdict;
     verdict.check(serial.failures() == 0, "%zu seed job(s) failed.", serial.failures());
     verdict.check(sweep.identical, "sweep artifacts differ between jobs=1 and jobs=%d.",
                   sweep.compare_jobs);
-    verdict.check(sched_identical,
-                  "binary heap and calendar queue runs of the seed-1 city differ.");
-    return verdict.exit_status(
-        "City sweep byte-identical at any --jobs; heap and calendar queue agree.");
+    return verdict.exit_status("City sweep byte-identical at any --jobs.");
 }
 
 }  // namespace

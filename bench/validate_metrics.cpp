@@ -138,10 +138,8 @@ const std::vector<SchemaSection>& exported_schema() {
           "arena_acquires", "arena_allocations", "traced_overhead_pct",
           "sampled_overhead_pct", "sweep_scaling", "serial_wall_ms",
           "artifacts_identical", "parallel", "speedup", "city", "hosts", "cells",
-          "scheduler", "heap_wall_ms", "calendar_wall_ms", "identical",
           "find_link", "links", "indexed_ns", "linear_ns", "lookups",
-          "observability", "sampler_off_wall_ms", "sampler_on_wall_ms",
-          "fullwalk_wall_ms", "fullwalk_overhead_pct", "overhead_pct",
+          "observability", "sampler_off_wall_ms", "sampler_on_wall_ms", "overhead_pct",
           "metrics_interval_s", "sweep_wall_ms", "handoffs", "registrations",
           "probes", "probes_delivered", "deliverability", "storm_trips",
           "compare_jobs"}},

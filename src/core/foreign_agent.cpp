@@ -110,7 +110,7 @@ std::optional<stack::Resolution> ForeignAgent::resolve(const stack::FlowKey& flo
 }
 
 void ForeignAgent::on_registration_frame(std::span<const std::uint8_t> data,
-                                         transport::UdpEndpoint from,
+                                         transport::Endpoint from,
                                          net::Ipv4Address local_dst) {
     (void)local_dst;
     if (crashed_ || data.empty()) return;

@@ -98,7 +98,7 @@ private:
     std::optional<stack::Resolution> resolve(const stack::FlowKey& flow) override;
     void send_advertisement(bool solicited);
     void on_registration_frame(std::span<const std::uint8_t> data,
-                               transport::UdpEndpoint from, net::Ipv4Address local_dst);
+                               transport::Endpoint from, net::Ipv4Address local_dst);
     /// The actual relay work for an inbound registration request (record
     /// the pending visitor, forward verbatim to the home agent).
     void relay_request(const RegistrationRequest& req, std::uint16_t reply_port,

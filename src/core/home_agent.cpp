@@ -132,7 +132,7 @@ void HomeAgent::expire_bindings() {
 }
 
 void HomeAgent::on_registration(std::span<const std::uint8_t> data,
-                                transport::UdpEndpoint from) {
+                                transport::Endpoint from) {
     if (crashed_) return;
     RegistrationRequest req;
     try {
@@ -168,7 +168,7 @@ void HomeAgent::on_registration(std::span<const std::uint8_t> data,
 
 void HomeAgent::process_registration(const RegistrationRequest& req,
                                      std::span<const std::uint8_t> data,
-                                     transport::UdpEndpoint from) {
+                                     transport::Endpoint from) {
     const bool authentic =
         RegistrationRequest::authenticate(data, config_.registration_key);
 

@@ -107,13 +107,13 @@ public:
     transport::UdpService& udp() noexcept { return *udp_; }
 
 private:
-    void on_registration(std::span<const std::uint8_t> data, transport::UdpEndpoint from);
+    void on_registration(std::span<const std::uint8_t> data, transport::Endpoint from);
     /// The actual registration service work (authenticate, mutate the
     /// binding table, reply). Runs inline on arrival without overload
     /// protection; dequeued after the queueing delay with it.
     void process_registration(const RegistrationRequest& req,
                               std::span<const std::uint8_t> data,
-                              transport::UdpEndpoint from);
+                              transport::Endpoint from);
     bool intercept_forward(const net::Packet& packet, std::size_t in_interface);
     void on_encapsulated(const net::Packet& packet);
     void maybe_send_advert(net::Ipv4Address correspondent, const Binding& binding);

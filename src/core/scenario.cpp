@@ -17,8 +17,7 @@ int resolve_attach(int requested, int backbone_len) {
 }  // namespace
 
 World::World(WorldConfig config)
-    : sim(config.scheduler),
-      trace(&sim.record_arena()),
+    : trace(&sim.record_arena()),
       decisions(&sim.record_arena()),
       config_(std::move(config)) {
     if (config_.backbone_routers < 1) {

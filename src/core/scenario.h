@@ -65,12 +65,6 @@ struct WorldConfig {
     double loss_rate = 0.0;
     std::uint64_t seed = 1;
 
-    /// Event-queue structure for this world's simulator. Either kind
-    /// dispatches the identical event sequence (sim/event_queue.h); the
-    /// BinaryHeap seed scheduler is kept selectable for the equivalence
-    /// tests and before/after benchmarks.
-    sim::SchedulerKind scheduler = sim::SchedulerKind::Calendar;
-
     /// Observability knobs (docs/OBSERVABILITY.md). With tracing off,
     /// links and stacks get no recorder attached and every trace seam in
     /// the hot path is a single pointer compare — the "untraced" leg of

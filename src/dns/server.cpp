@@ -12,7 +12,7 @@ DnsServer::DnsServer(transport::UdpService& udp, Zone& zone) : zone_(zone) {
     });
 }
 
-void DnsServer::on_datagram(std::span<const std::uint8_t> data, transport::UdpEndpoint from) {
+void DnsServer::on_datagram(std::span<const std::uint8_t> data, transport::Endpoint from) {
     Message request;
     try {
         net::BufferReader r(data);

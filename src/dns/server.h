@@ -21,7 +21,7 @@ public:
     std::size_t updates_applied() const noexcept { return updates_applied_; }
 
 private:
-    void on_datagram(std::span<const std::uint8_t> data, transport::UdpEndpoint from);
+    void on_datagram(std::span<const std::uint8_t> data, transport::Endpoint from);
     Message handle(const Message& request);
 
     Zone& zone_;

@@ -25,7 +25,6 @@ CitySim::CitySim(CityConfig config)
     : config_(config),
       topo_(config.metro),
       pop_(topo_, config.population),
-      sim_(config.scheduler),
       decisions_(&sim_.record_arena()),
       tables_(static_cast<std::size_t>(config.metro.home_agents)) {
     if (config_.duration <= 0 || config_.sample_interval <= 0 ||
@@ -391,7 +390,7 @@ void CitySim::run() {
     if (config_.metrics_interval > 0) {
         sampler_ = std::make_unique<obs::MetricsSampler>(
             sim_, registry_,
-            obs::SamplerConfig{config_.metrics_interval, 4096, config_.sampler_delta});
+            obs::SamplerConfig{config_.metrics_interval, 4096});
         sampler_->start();
     }
     if (config_.monitor_interval > 0) {

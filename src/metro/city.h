@@ -23,8 +23,7 @@
 // registrations with hop-proportional latency and epoch guards against
 // stale completions, 80%-of-lifetime renewals, storm-window decay, home
 // agent GC, and probe sweeps. Everything is a pure function of the
-// config, so runs are byte-reproducible under either SchedulerKind and
-// at any SweepRunner --jobs.
+// config, so runs are byte-reproducible at any SweepRunner --jobs.
 #pragma once
 
 #include <cstdint>
@@ -86,7 +85,6 @@ struct CityOverloadConfig {
 struct CityConfig {
     MetroConfig metro;
     PopulationConfig population;
-    sim::SchedulerKind scheduler = sim::SchedulerKind::Calendar;
     /// Simulated span of the run.
     sim::Duration duration = sim::seconds(600);
     /// Per-host radio sampling interval (each host is staggered inside it).
@@ -106,9 +104,6 @@ struct CityConfig {
     std::size_t probes_per_sweep = 256;
     /// Attach a MetricsSampler at this interval (0 = off).
     sim::Duration metrics_interval = 0;
-    /// Delta-sampled (dirty-feed) vs full-walk sampler — same bytes, see
-    /// obs/timeseries.h. Exposed so bench_city can measure both paths.
-    bool sampler_delta = true;
     /// Attach a HealthMonitor at this interval (0 = off). The monitor
     /// watches the citywide handoff wave: an EWMA rate-spike rule over
     /// the aggregate city/metro/handoffs counter trips when one

@@ -44,7 +44,7 @@ MetricsSampler::MetricsSampler(sim::Simulator& sim, const MetricsRegistry& regis
     if (config_.interval <= 0) {
         throw std::invalid_argument("MetricsSampler: interval must be positive");
     }
-    delta_mode_ = config_.delta && registry_.claim_dirty_consumer(this);
+    delta_mode_ = registry_.claim_dirty_consumer(this);
     if (delta_mode_) tick_times_.resize(cap_);
 }
 

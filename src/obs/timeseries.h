@@ -16,20 +16,22 @@
 // long run keeps the most recent window at full resolution instead of
 // exhausting memory.
 //
-// Two internally different but byte-identical sampling strategies:
+// Two internally different but byte-identical sampling strategies; the
+// registry decides which one a sampler runs:
 //
-//   delta (default)  claims the registry's dirty-consumer slot and per
-//                    tick visits only the counters/histograms that
-//                    mutated since the previous tick (plus all polled
-//                    gauges, which cannot self-report). Quiet metrics are
-//                    stored run-length / sparse and reconstructed at
-//                    export. This is what makes always-on sampling cheap
-//                    enough to leave armed at city scale.
-//   full walk        walks every registry entry every tick into eager
-//                    per-series rings — the reference implementation the
-//                    delta path is pinned against (golden + unit tests),
-//                    and the automatic fallback when another sampler
-//                    already holds the dirty feed.
+//   delta      taken when the registry's single dirty-consumer slot is
+//              free. Per tick it visits only the counters/histograms
+//              that mutated since the previous tick (plus all polled
+//              gauges, which cannot self-report). Quiet metrics are
+//              stored run-length / sparse and reconstructed at export.
+//              This is what makes always-on sampling cheap enough to
+//              leave armed at city scale.
+//   full walk  the fallback when another consumer already holds the
+//              slot: walks every registry entry every tick into eager
+//              per-series rings. It is the reference implementation the
+//              delta path is pinned against (golden + unit tests, which
+//              reach it through a second sampler on the same registry
+//              or by claiming the slot first).
 //
 // Lifecycle contract (PR 8 satellite): a sampler is Idle until start(),
 // Running until stop(), and Stopped after. sample_now() records in Idle
@@ -100,11 +102,6 @@ struct SamplerConfig {
     sim::Duration interval = sim::milliseconds(100);
     /// Points retained per series; older points are dropped (and counted).
     std::size_t ring_capacity = 4096;
-    /// Delta sampling (dirty-marked registry feed) vs the full-walk
-    /// reference path. Output is byte-identical either way; delta is the
-    /// cheap one. Automatically downgraded to full walk when another
-    /// sampler already claims the registry's dirty feed.
-    bool delta = true;
 };
 
 /// Samples a MetricsRegistry on a simulated-time interval. Off by
@@ -130,8 +127,8 @@ public:
     bool running() const noexcept { return phase_ == Phase::Running; }
     /// True once stop() has sealed the window (sample_now() is a no-op).
     bool stopped() const noexcept { return phase_ == Phase::Stopped; }
-    /// True when the cheap dirty-feed path is active (config().delta was
-    /// set and this sampler won the registry's single consumer slot).
+    /// True when the cheap dirty-feed path is active (this sampler won
+    /// the registry's single consumer slot at construction).
     bool delta_active() const noexcept { return delta_mode_; }
 
     /// Takes one sample immediately (also usable without start()).

@@ -7,15 +7,22 @@ namespace mip::sim {
 namespace {
 
 /// Brown's rule over @p n keys sorted ascending: the mean gap between
-/// neighbours, recomputed without the gaps over twice that mean, times 3.
-/// Keys at one instant give a zero mean, hence the 1 ns floor.
+/// neighbouring instants, recomputed without the gaps over twice that
+/// mean, times 3. Ties are left out: counted as zero gaps they would pass
+/// the trim while every gap between bunches of tied keys failed it, and a
+/// head of a few such bunches would size the day at the 1 ns floor, so
+/// each pop would step over hundreds of empty days. Keys all at one
+/// instant give the floor.
 Duration head_width(const EventKey* keys, std::size_t n) {
-    const Duration mean = (keys[n - 1].when - keys[0].when) / static_cast<Duration>(n - 1);
+    Duration steps = 0;
+    for (std::size_t i = 1; i < n; ++i) steps += keys[i].when != keys[i - 1].when;
+    if (steps == 0) return 1;
+    const Duration mean = (keys[n - 1].when - keys[0].when) / steps;
     Duration sum = 0;
     Duration kept = 0;
     for (std::size_t i = 1; i < n; ++i) {
         const Duration gap = keys[i].when - keys[i - 1].when;
-        if (gap <= 2 * mean) {
+        if (gap > 0 && gap <= 2 * mean) {
             sum += gap;
             ++kept;
         }

@@ -3,7 +3,9 @@
 // The simulator's ordering contract is a *total* order — (when, schedule
 // sequence) ascending, sequences unique — so any correct priority
 // structure dispatches the exact same event sequence and every artifact
-// stays byte-identical. That is what lets the queue be tuned for speed.
+// stays byte-identical. That is what lets the queue be tuned for speed,
+// and what lets tests/test_sim.cpp check it pop for pop against a
+// std::priority_queue oracle over the same keys.
 //
 // Storage is split in two. The priority structure holds only 16-byte,
 // trivially copyable EventKeys {when, seq << 24 | slot}; the closure and
@@ -11,22 +13,16 @@
 // the key's slot index. Moving a key is a memmove, never a std::function
 // move, and the key alone decides the order.
 //
-//   BinaryHeap  std::priority_queue over the keys, O(log n) per
-//               operation. Kept for the equivalence tests and the
-//               before/after figure bench_city records.
-//
-//   Calendar    Brown's indexed calendar queue (CACM 1988): time-ordered
-//               buckets, one "day" wide each, scanned like a desk
-//               calendar. Enqueue hashes the timestamp to a bucket;
-//               dequeue takes the current bucket's earliest key or
-//               advances to the next day. The bucket count doubles and
-//               halves with the population. The day width follows
-//               Brown's rule on the ~25 keys nearest the head of the
-//               queue (3x their trimmed mean gap), so a few distant
-//               timers cannot stretch the days the dense near-term
-//               traffic lives in. A whole year scanned dry means the
-//               width is too small for what is pending now, and
-//               re-estimates it from the new head.
+// The structure is Brown's indexed calendar queue (CACM 1988):
+// time-ordered buckets, one "day" wide each, scanned like a desk
+// calendar. Enqueue hashes the timestamp to a bucket; dequeue takes the
+// current bucket's earliest key or advances to the next day. The bucket
+// count doubles and halves with the population. The day width follows
+// Brown's rule on the ~25 keys nearest the head of the queue (3x the
+// trimmed mean gap between their distinct instants; ties are left out),
+// so a few distant timers cannot stretch the days the dense near-term
+// traffic lives in. A whole year scanned dry means the width is too
+// small for what is pending now, and re-estimates it from the new head.
 //
 // A bad width costs speed, never order: each bucket is kept sorted, and
 // the year guard (`when < cur_top_`) defers a far-future key that hashes
@@ -64,8 +60,7 @@ inline bool fires_before(const EventKey& a, const EventKey& b) noexcept {
     return a.when != b.when ? a.when < b.when : a.order < b.order;
 }
 
-/// Deterministic work counters for the event queue. The calendar fields
-/// stay zero under SchedulerKind::BinaryHeap.
+/// Deterministic work counters for the event queue.
 struct QueueStats {
     std::uint64_t scheduled = 0;  ///< keys pushed
     std::uint64_t popped = 0;     ///< keys popped, cancelled ones included

@@ -33,11 +33,7 @@ EventId Simulator::schedule_at(TimePoint when, std::function<void()> action,
     s.state = SlotState::Pending;
     const EventKey key{when, next_seq_++ << EventKey::kSlotBits | slot};
     ++counts_.scheduled;
-    if (kind_ == SchedulerKind::Calendar) {
-        calendar_.push(key);
-    } else {
-        heap_.push(key);
-    }
+    calendar_.push(key);
     return EventId{s.gen} << 32 | slot;
 }
 
@@ -57,19 +53,9 @@ QueueStats Simulator::queue_stats() const noexcept {
     return q;
 }
 
-bool Simulator::pop_next(TimePoint limit, EventKey& out) {
-    if (kind_ == SchedulerKind::Calendar) {
-        return calendar_.pop_if(limit, out);
-    }
-    if (heap_.empty() || heap_.top().when > limit) return false;
-    out = heap_.top();
-    heap_.pop();
-    return true;
-}
-
 bool Simulator::fire_next(TimePoint limit) {
     EventKey key;
-    while (pop_next(limit, key)) {
+    while (calendar_.pop_if(limit, key)) {
         ++counts_.popped;
         const std::uint32_t slot = key.slot();
         Slot& s = slots_[slot];
@@ -83,12 +69,10 @@ bool Simulator::fire_next(TimePoint limit) {
         const std::function<void()> action = std::move(s.action);
         const char* kind = s.kind;
         release(slot);
-        if (kind_ == SchedulerKind::Calendar) {
-            // The next event's slot is most likely a cache miss: start
-            // loading it while this handler runs.
-            if (const EventKey* next = calendar_.front_hint()) {
-                __builtin_prefetch(&slots_[next->slot()]);
-            }
+        // The next event's slot is most likely a cache miss: start
+        // loading it while this handler runs.
+        if (const EventKey* next = calendar_.front_hint()) {
+            __builtin_prefetch(&slots_[next->slot()]);
         }
         now_ = key.when;
         ++events_fired_;

@@ -12,15 +12,13 @@
 // freed when its key pops, and a stale id (its event already fired)
 // simply fails the generation check.
 //
-// The priority structure is selectable at construction: the default is
-// the indexed calendar queue; SchedulerKind::BinaryHeap orders the same
-// keys with std::priority_queue, kept for equivalence tests and
-// before/after benchmarking. Both dispatch the identical event sequence.
+// The priority structure is the indexed calendar queue. tests/test_sim.cpp
+// pins its pop order against a std::priority_queue oracle over the same
+// keys.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "net/pool.h"
@@ -32,22 +30,13 @@ namespace mip::sim {
 
 class SimProfiler;
 
-/// Which priority structure orders the event queue. The choice never
-/// changes behaviour — (when, sequence) is a total order — only speed.
-enum class SchedulerKind {
-    BinaryHeap,  ///< std::priority_queue over the same keys, O(log n)
-    Calendar,    ///< indexed calendar queue, amortized O(1) (default)
-};
-
 class Simulator {
 public:
-    explicit Simulator(SchedulerKind scheduler = SchedulerKind::Calendar)
-        : kind_(scheduler) {}
+    Simulator() = default;
     Simulator(const Simulator&) = delete;
     Simulator& operator=(const Simulator&) = delete;
 
     TimePoint now() const noexcept { return now_; }
-    SchedulerKind scheduler() const noexcept { return kind_; }
 
     /// Schedules @p action to run at absolute time @p when (>= now).
     /// @p kind tags the event for the self-profiler ("frame-delivery",
@@ -117,9 +106,7 @@ public:
     const RecordArena& record_arena() const noexcept { return record_arena_; }
 
     /// Queued events, cancelled ones not yet popped included.
-    std::size_t pending_events() const noexcept {
-        return kind_ == SchedulerKind::Calendar ? calendar_.size() : heap_.size();
-    }
+    std::size_t pending_events() const noexcept { return calendar_.size(); }
     /// Cancelled events still queued. Stale cancellations never count.
     /// Observability hook for the leak regression tests.
     std::size_t cancelled_backlog() const noexcept { return tombstones_; }
@@ -141,12 +128,6 @@ public:
     static constexpr std::size_t kDefaultEventLimit = 10'000'000;
 
 private:
-    struct Later {
-        bool operator()(const EventKey& a, const EventKey& b) const noexcept {
-            return fires_before(b, a);
-        }
-    };
-
     enum class SlotState : std::uint8_t { Free, Pending, Cancelled };
 
     /// One event's closure and profiler tag, addressed by its key's slot.
@@ -160,10 +141,6 @@ private:
 
     /// Returns @p slot to the free list; ids naming it go stale.
     void release(std::uint32_t slot) noexcept;
-
-    /// Moves the earliest key with timestamp <= @p limit into @p out,
-    /// whichever queue holds it. False when none qualifies.
-    bool pop_next(TimePoint limit, EventKey& out);
 
     /// Fires the next non-cancelled event with timestamp <= @p limit.
     /// Returns false when none qualifies (cancelled events up to the limit
@@ -179,8 +156,6 @@ private:
     RecordArena record_arena_;
     std::uint64_t events_fired_ = 0;
     SimProfiler* profiler_ = nullptr;
-    SchedulerKind kind_;
-    std::priority_queue<EventKey, std::vector<EventKey>, Later> heap_;
     CalendarQueue calendar_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;  ///< LIFO: reuse the slot still in cache

@@ -160,7 +160,7 @@ std::vector<std::string> validate_bench_perf_document(const obs::JsonValue& doc)
     }
 
     // bench_city's block (merged into the same document): the city sweep
-    // summary plus the scheduler and find_link before/after sections.
+    // summary, the find_link before/after and the observability overhead.
     if (doc.contains("city")) {
         const obs::JsonValue& city = doc.at("city");
         if (!city.is_object()) {
@@ -176,23 +176,6 @@ std::vector<std::string> validate_bench_perf_document(const obs::JsonValue& doc)
                 city.contains("artifacts_identical") &&
                     city.at("artifacts_identical").is_bool(),
                 "city.artifacts_identical must be a boolean");
-        if (city.contains("scheduler") && city.at("scheduler").is_object()) {
-            const obs::JsonValue& sc = city.at("scheduler");
-            for (const char* field : {"heap_wall_ms", "calendar_wall_ms", "speedup"}) {
-                require(problems, sc.contains(field) && sc.at(field).is_number(),
-                        std::string("city.scheduler.") + field + " must be a number");
-            }
-            require(problems, sc.contains("identical") && sc.at("identical").is_bool(),
-                    "city.scheduler.identical must be a boolean");
-            // A speedup is a ratio of medians; one sample of each side is
-            // noise — the same rule as the overhead percentages above.
-            require(problems,
-                    sc.contains("reps") && sc.at("reps").is_number() &&
-                        sc.at("reps").as_number() >= 2,
-                    "city.scheduler.speedup requires reps >= 2");
-        } else {
-            problems.push_back("city.scheduler must be an object");
-        }
         if (city.contains("find_link") && city.at("find_link").is_object()) {
             const obs::JsonValue& fl = city.at("find_link");
             for (const char* field : {"links", "indexed_ns", "linear_ns", "speedup"}) {

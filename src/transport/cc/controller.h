@@ -140,8 +140,9 @@ struct FactoryContext {
     sim::Duration initial_rto = sim::milliseconds(200);
 };
 
-/// Factory named by transport::Config. A null factory means "the default
-/// StaticController built from the config's deprecated rto field".
+/// Factory named by transport::Config. A null factory means the default
+/// StaticController, built from the config's rto (which also seeds the
+/// adaptive controllers, see FactoryContext::initial_rto).
 using Factory = std::function<std::unique_ptr<CongestionController>(const FactoryContext&)>;
 
 /// Factories for the three stock controllers (see the sibling headers for

@@ -22,10 +22,6 @@ namespace mip::transport {
 
 class UdpService;
 
-/// Deprecated name for transport::Endpoint (pre-ISSUE-10). Will be
-/// removed next release.
-using UdpEndpoint = Endpoint;
-
 class UdpSocket {
 public:
     /// Unified receive contract (transport/endpoint.h): payload first,

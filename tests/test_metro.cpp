@@ -23,8 +23,7 @@ namespace {
 /// A small-but-real city: 36 cells, hundreds of hosts, a couple of
 /// simulated minutes — big enough to exercise handoffs, renewals, storm
 /// windows and probes, small enough for the unit-test budget.
-CityConfig small_city(std::uint64_t seed,
-                      sim::SchedulerKind kind = sim::SchedulerKind::Calendar) {
+CityConfig small_city(std::uint64_t seed) {
     CityConfig cfg;
     cfg.metro.cells_x = 6;
     cfg.metro.cells_y = 6;
@@ -32,7 +31,6 @@ CityConfig small_city(std::uint64_t seed,
     cfg.population.hosts = 400;
     cfg.population.seed = seed;
     cfg.population.metro_lines = 2;
-    cfg.scheduler = kind;
     cfg.duration = sim::seconds(120);
     cfg.registration_lifetime = sim::seconds(60);
     cfg.storm_threshold = 25;

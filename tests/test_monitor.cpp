@@ -535,14 +535,15 @@ TEST_F(IncidentTest, ValidatorRejectsNonConformingBundles) {
 
 /// Runs the same registry workload through a delta sampler and a
 /// full-walk sampler ticking at the same sim times, then compares the
-/// rendered documents byte for byte.
+/// rendered documents byte for byte. The first sampler built takes the
+/// registry's dirty feed; the second falls back to the full walk.
 class ByteIdentityTest : public ::testing::Test {
 protected:
     ByteIdentityTest()
         : delta_(simulator_, registry_,
-                 {.interval = sim::milliseconds(50), .ring_capacity = 8, .delta = true}),
+                 {.interval = sim::milliseconds(50), .ring_capacity = 8}),
           full_(simulator_, registry_,
-                {.interval = sim::milliseconds(50), .ring_capacity = 8, .delta = false}) {
+                {.interval = sim::milliseconds(50), .ring_capacity = 8}) {
     }
 
     void expect_identical() {
@@ -686,8 +687,11 @@ TEST(StoppedSamplerTest, RestartReopensTheWindow) {
     sim::Simulator simulator;
     obs::MetricsRegistry reg;
     auto& c = reg.counter("n", "l", "c");
-    obs::MetricsSampler sampler(simulator, reg,
-                                {.interval = sim::milliseconds(10), .delta = false});
+    // The full-walk path's re-baseline: claim the dirty feed first so the
+    // sampler falls back to it (ByteIdentityTest covers the delta path).
+    ASSERT_TRUE(reg.claim_dirty_consumer(&reg));
+    obs::MetricsSampler sampler(simulator, reg, {.interval = sim::milliseconds(10)});
+    ASSERT_FALSE(sampler.delta_active());
 
     sampler.start();
     c.add(5);

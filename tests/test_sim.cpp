@@ -416,41 +416,9 @@ TEST(CalendarQueue, InterleavedPushPopStaysOrdered) {
     EXPECT_EQ(popped, reference) << "(when, id) pops must already be sorted";
 }
 
-TEST(Simulator, HeapAndCalendarFireIdenticalSequences) {
-    const auto run = [](SchedulerKind kind) {
-        Simulator s(kind);
-        std::vector<EventId> fired;
-        std::mt19937_64 rng(99);
-        // Seed events that themselves schedule more events, some at the
-        // same instant, some cancelled.
-        std::function<void(int)> spawn = [&](int depth) {
-            fired.push_back(static_cast<EventId>(depth));
-            if (depth >= 3) return;
-            for (int i = 0; i < 3; ++i) {
-                const Duration d = static_cast<Duration>(rng() % seconds(1));
-                s.schedule_in(d, [&spawn, depth] { spawn(depth + 1); });
-            }
-            const EventId doomed =
-                s.schedule_in(milliseconds(1), [&fired] { fired.push_back(9999); });
-            s.cancel(doomed);
-        };
-        for (int i = 0; i < 5; ++i) {
-            s.schedule_at(static_cast<TimePoint>(rng() % seconds(2)),
-                          [&spawn] { spawn(1); });
-        }
-        s.run();
-        return fired;
-    };
-    const auto heap = run(SchedulerKind::BinaryHeap);
-    const auto calendar = run(SchedulerKind::Calendar);
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap, calendar);
-    EXPECT_EQ(std::count(heap.begin(), heap.end(), 9999), 0)
-        << "cancelled events must not fire under either scheduler";
-}
-
 // ---- queue work bounds and the reference oracle -----------------------------
 
+#include <functional>
 #include <queue>
 #include <tuple>
 
@@ -459,7 +427,9 @@ namespace {
 // Work bounds for the adversarial cases below (measured at most 2.4 shifts
 // and 0.5 scans). A day width taken from the whole population's span put
 // the near-term keys of these cases into one bucket, costing thousands of
-// shifts per push.
+// shifts per push; one that counted tied keys in Brown's rule shrank to
+// 1 ns behind same-instant bursts, costing up to 22 scans per pop on the
+// scenario-shaped mix.
 constexpr double kMaxShiftsPerPush = 4.0;
 constexpr double kMaxScansPerPop = 1.5;
 
@@ -467,7 +437,181 @@ double per(std::uint64_t work, std::size_t ops) {
     return static_cast<double>(work) / static_cast<double>(ops);
 }
 
+/// The reference the simulator's dispatch order is checked against: a
+/// binary heap over (when, schedule order), the simulator's total order,
+/// that skips cancelled entries when they reach the top.
+struct Oracle {
+    using Entry = std::tuple<TimePoint, std::uint64_t>;  // when, schedule order
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    std::vector<bool> cancelled;     ///< by schedule order; fired ones too
+    std::size_t live_cancelled = 0;  ///< cancelled and still queued
+
+    /// Queues an event at @p when; returns its schedule order.
+    std::uint64_t push(TimePoint when) {
+        const std::uint64_t order = cancelled.size();
+        cancelled.push_back(false);
+        heap.emplace(when, order);
+        return order;
+    }
+
+    void cancel(std::uint64_t order) {
+        if (cancelled[order]) return;  // already cancelled or fired: stale
+        cancelled[order] = true;
+        ++live_cancelled;
+    }
+
+    /// Moves the next live entry into @p out; false when none is left.
+    bool pop(Entry& out) {
+        while (!heap.empty() && cancelled[std::get<1>(heap.top())]) {
+            heap.pop();
+            --live_cancelled;
+        }
+        if (heap.empty()) return false;
+        out = heap.top();
+        heap.pop();
+        cancelled[std::get<1>(out)] = true;  // fired: later cancels are stale
+        return true;
+    }
+};
+
+/// The delay mixes the randomized oracle test draws from.
+enum class Mix {
+    /// Same-instant ties, microsecond to second delays, far-future outliers.
+    Random,
+    /// A scenario's shape: microsecond-spaced frame chains, same-instant
+    /// bursts, 1-300 s lifetimes, and a 200 ms RTO timer cancelled and
+    /// re-armed on each dispatch.
+    Scenario,
+};
+
+/// One random interleaving of schedule, dispatch and cancel (stale
+/// cancels included) drawn from @p mix, checked dispatch for dispatch
+/// against the oracle, with the queue's work bounds checked at the end.
+void check_against_oracle(Mix mix, std::uint64_t seed) {
+    Simulator s;
+    Oracle oracle;
+    std::mt19937_64 rng(seed);
+    std::vector<EventId> ids;  // by schedule order
+    std::uint64_t fired = 0;
+    std::uint64_t dispatched = 0;
+    const auto schedule = [&](TimePoint when) {
+        const std::uint64_t order = oracle.push(when);
+        ids.push_back(s.schedule_at(when, [&fired, order] { fired = order; }));
+        return order;
+    };
+    const auto cancel = [&](std::uint64_t order) {
+        s.cancel(ids[order]);
+        oracle.cancel(order);
+    };
+    const auto random_delay = [&rng]() -> Duration {
+        switch (rng() % 8) {
+            case 0: return 0;
+            case 1: return seconds(300) + static_cast<Duration>(rng() % seconds(3600));
+            case 2: return static_cast<Duration>(rng() % seconds(2));
+            default: return static_cast<Duration>(rng() % microseconds(500));
+        }
+    };
+    const auto scenario_push = [&] {
+        const TimePoint now = s.now();
+        switch (rng() % 6) {
+            case 0:
+            case 1:
+            case 2: {  // a frame crossing up to 8 hops, 1-120 us apart
+                const Duration gap =
+                    microseconds(1) + static_cast<Duration>(rng() % microseconds(120));
+                const int hops = 1 + static_cast<int>(rng() % 8);
+                for (int h = 1; h <= hops; ++h) schedule(now + gap * h);
+                break;
+            }
+            case 3:
+            case 4: {  // 2-16 events at one instant
+                const TimePoint when = now + static_cast<Duration>(rng() % milliseconds(1));
+                const int n = 2 + static_cast<int>(rng() % 15);
+                for (int i = 0; i < n; ++i) schedule(when);
+                break;
+            }
+            default:  // a registration or binding lifetime
+                schedule(now + seconds(1) + static_cast<Duration>(rng() % seconds(299)));
+        }
+    };
+    std::uint64_t rto = 0;
+    bool rto_armed = false;
+    for (int step = 0; step < 6000; ++step) {
+        const std::uint64_t op = rng() % 10;
+        if (op < 5 || oracle.heap.empty()) {
+            if (mix == Mix::Random) {
+                schedule(s.now() + random_delay());
+            } else {
+                scenario_push();
+            }
+        } else if (op < 7) {
+            cancel(rng() % ids.size());  // any id: pending, fired or cancelled
+        } else {
+            Oracle::Entry next;
+            if (!oracle.pop(next)) {
+                EXPECT_EQ(s.run(1), 0u);
+                continue;
+            }
+            ASSERT_EQ(s.run(1), 1u);
+            ++dispatched;
+            ASSERT_EQ(fired, std::get<1>(next));
+            ASSERT_EQ(s.now(), std::get<0>(next));
+            if (mix == Mix::Scenario) {
+                // Each dispatch acknowledges something: the pending
+                // retransmission timer goes and a fresh one is armed.
+                if (rto_armed) cancel(rto);
+                rto = schedule(s.now() + milliseconds(200));
+                rto_armed = true;
+            }
+        }
+        ASSERT_EQ(s.pending_events(), oracle.heap.size());
+        ASSERT_EQ(s.cancelled_backlog(), oracle.live_cancelled);
+    }
+    EXPECT_GT(dispatched, 1000u);
+    const QueueStats stats = s.queue_stats();
+    EXPECT_EQ(stats.scheduled, ids.size());
+    EXPECT_LE(stats.shifts_per_push(), kMaxShiftsPerPush);
+    EXPECT_LE(stats.scans_per_pop(), kMaxScansPerPop);
+}
+
 }  // namespace
+
+TEST(Simulator, NestedSpawnAndCancelMatchesOracle) {
+    // Handlers that schedule more events, some at their own instant, plus
+    // one each that they cancel at once: every dispatch is checked
+    // against the oracle as it fires.
+    Simulator s;
+    Oracle oracle;
+    std::mt19937_64 rng(99);
+    std::size_t fired = 0;
+    std::function<EventId(TimePoint, int)> schedule = [&](TimePoint when, int depth) {
+        const std::uint64_t order = oracle.push(when);
+        return s.schedule_at(when, [&, order, depth] {
+            Oracle::Entry next;
+            ASSERT_TRUE(oracle.pop(next));
+            ASSERT_EQ(std::get<1>(next), order) << "out of order, or a cancelled event fired";
+            ASSERT_EQ(std::get<0>(next), s.now());
+            ++fired;
+            if (depth >= 3) return;
+            for (int i = 0; i < 3; ++i) {
+                const Duration d =
+                    rng() % 4 == 0 ? 0 : static_cast<Duration>(rng() % seconds(1));
+                schedule(s.now() + d, depth + 1);
+            }
+            const std::uint64_t doomed = oracle.cancelled.size();
+            s.cancel(schedule(s.now() + milliseconds(1), depth + 1));
+            oracle.cancel(doomed);
+        });
+    };
+    for (int i = 0; i < 5; ++i) schedule(static_cast<TimePoint>(rng() % seconds(2)), 1);
+    s.run();
+    EXPECT_EQ(fired, 5u + 15u + 45u);
+    Oracle::Entry left;
+    EXPECT_FALSE(oracle.pop(left));
+    EXPECT_EQ(s.pending_events(), 0u);
+    EXPECT_EQ(s.cancelled_backlog(), 0u);
+}
 
 TEST(CalendarQueue, DistantTimerDoesNotWidenTheDays) {
     // One 300 s lifetime timer beside 10k events 1 us apart: the days must
@@ -508,75 +652,12 @@ TEST(CalendarQueue, SameInstantBurstStaysCheap) {
 }
 
 TEST(Simulator, RandomPushPopCancelMatchesOracle) {
-    // Random interleaved schedule, dispatch and cancel — same-instant ties,
-    // microsecond to second delays, far-future outliers, stale cancels —
-    // checked dispatch for dispatch against a std::priority_queue of
-    // (when, schedule order) that skips cancelled entries when they pop.
-    using Entry = std::tuple<TimePoint, std::uint64_t>;  // when, schedule order
-    for (const SchedulerKind kind : {SchedulerKind::Calendar, SchedulerKind::BinaryHeap}) {
+    for (const Mix mix : {Mix::Random, Mix::Scenario}) {
         for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-            SCOPED_TRACE(testing::Message() << "seed " << seed << " heap "
-                                            << (kind == SchedulerKind::BinaryHeap));
-            Simulator s(kind);
-            std::mt19937_64 rng(seed);
-            std::priority_queue<Entry, std::vector<Entry>, std::greater<>> oracle;
-            std::vector<EventId> ids;           // by schedule order
-            std::vector<bool> cancelled;        // by schedule order
-            std::size_t live_cancelled = 0;     // cancelled and still queued
-            std::uint64_t fired = 0;
-            std::uint64_t dispatched = 0;
-            const auto delay = [&rng]() -> Duration {
-                switch (rng() % 8) {
-                    case 0: return 0;
-                    case 1: return seconds(300) + static_cast<Duration>(rng() % seconds(3600));
-                    case 2: return static_cast<Duration>(rng() % seconds(2));
-                    default: return static_cast<Duration>(rng() % microseconds(500));
-                }
-            };
-            for (int step = 0; step < 6000; ++step) {
-                const std::uint64_t op = rng() % 10;
-                if (op < 5 || oracle.empty()) {
-                    const TimePoint when = s.now() + delay();
-                    const std::uint64_t order = ids.size();
-                    ids.push_back(s.schedule_at(when, [&fired, order] { fired = order; }));
-                    cancelled.push_back(false);
-                    oracle.emplace(when, order);
-                } else if (op < 7) {
-                    // Any id ever handed out: pending, fired or cancelled.
-                    const std::uint64_t order = rng() % ids.size();
-                    s.cancel(ids[order]);
-                    if (!cancelled[order]) {
-                        cancelled[order] = true;
-                        ++live_cancelled;
-                    }
-                } else {
-                    while (!oracle.empty() && cancelled[std::get<1>(oracle.top())]) {
-                        oracle.pop();
-                        --live_cancelled;
-                    }
-                    if (oracle.empty()) {
-                        EXPECT_EQ(s.run(1), 0u);
-                        continue;
-                    }
-                    const std::uint64_t expected = std::get<1>(oracle.top());
-                    const TimePoint when = std::get<0>(oracle.top());
-                    oracle.pop();
-                    ASSERT_EQ(s.run(1), 1u);
-                    ++dispatched;
-                    ASSERT_EQ(fired, expected);
-                    ASSERT_EQ(s.now(), when);
-                    cancelled[expected] = true;  // fired: later cancels are stale
-                }
-                ASSERT_EQ(s.pending_events(), oracle.size());
-                ASSERT_EQ(s.cancelled_backlog(), live_cancelled);
-            }
-            EXPECT_GT(dispatched, 1000u);
-            const QueueStats stats = s.queue_stats();
-            EXPECT_EQ(stats.scheduled, ids.size());
-            if (kind == SchedulerKind::Calendar) {
-                EXPECT_LE(stats.shifts_per_push(), kMaxShiftsPerPush);
-                EXPECT_LE(stats.scans_per_pop(), kMaxScansPerPop);
-            }
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " scenario mix "
+                                            << (mix == Mix::Scenario));
+            check_against_oracle(mix, seed);
+            if (HasFatalFailure()) return;
         }
     }
 }

@@ -383,13 +383,13 @@ obs::JsonValue valid_city_block() {
     city["events"] = obs::JsonValue(4.0e6);
     city["events_per_sec"] = obs::JsonValue(2.4e6);
     city["artifacts_identical"] = obs::JsonValue(true);
-    obs::JsonValue sched{obs::JsonValue::Object{}};
-    sched["heap_wall_ms"] = obs::JsonValue(2700.0);
-    sched["calendar_wall_ms"] = obs::JsonValue(1700.0);
-    sched["speedup"] = obs::JsonValue(1.58);
-    sched["identical"] = obs::JsonValue(true);
-    sched["reps"] = obs::JsonValue(3.0);
-    city["scheduler"] = sched;
+    obs::JsonValue ob{obs::JsonValue::Object{}};
+    ob["sampler_off_wall_ms"] = obs::JsonValue(1575.0);
+    ob["sampler_on_wall_ms"] = obs::JsonValue(1654.0);
+    ob["overhead_pct"] = obs::JsonValue(5.0);
+    ob["metrics_interval_s"] = obs::JsonValue(30.0);
+    ob["reps"] = obs::JsonValue(3.0);
+    city["observability"] = ob;
     obs::JsonValue fl{obs::JsonValue::Object{}};
     fl["links"] = obs::JsonValue(261.0);
     fl["indexed_ns"] = obs::JsonValue(26.0);
@@ -439,15 +439,17 @@ TEST(BenchPerfSchemaTest, CityBlockNamesItsOffendingFields) {
     EXPECT_TRUE(mentions(sweep::validate_bench_perf_document(doc),
                          "city.events_per_sec"));
 
+    // From schema 3 on, the observability overhead is required, and one
+    // sample per side is not an overhead: reps < 2 must be rejected.
+    doc["schema_version"] = obs::JsonValue(3.0);
     city = valid_city_block();
     c = city.as_object();
-    c.erase("scheduler");
+    c.erase("observability");
     doc["city"] = obs::JsonValue(c);
-    EXPECT_TRUE(mentions(sweep::validate_bench_perf_document(doc), "city.scheduler"));
+    EXPECT_TRUE(mentions(sweep::validate_bench_perf_document(doc), "city.observability"));
 
-    // One sample per side is not a speedup: reps < 2 must be rejected.
     city = valid_city_block();
-    city["scheduler"]["reps"] = obs::JsonValue(1.0);
+    city["observability"]["reps"] = obs::JsonValue(1.0);
     doc["city"] = city;
     EXPECT_TRUE(mentions(sweep::validate_bench_perf_document(doc),
                          "reps >= 2"));

@@ -26,7 +26,7 @@ TEST(Udp, DatagramDelivery) {
     UdpRig rig;
     auto server = rig.udp_b.open(7777);
     std::vector<std::uint8_t> got;
-    transport::UdpEndpoint from;
+    transport::Endpoint from;
     server->set_receiver([&](auto data, const transport::RxMeta& meta) {
         got.assign(data.begin(), data.end());
         from = meta.peer;
