@@ -326,7 +326,8 @@ obs::JsonValue::Object measure_sweep_scaling(const bench::HarnessOptions& opt) {
     const int seeds = opt.pick(20, 5);
     // Exports disabled: these sweeps measure compute, and must not clobber
     // the figure artifacts abl_chaos exports.
-    const bench::HarnessOptions quiet{.smoke = opt.smoke};
+    const bench::HarnessOptions quiet{
+        .smoke = opt.smoke, .metrics_dir = {}, .perfetto_dir = {}};
 
     const auto run_with = [&](int jobs) {
         const sweep::SweepRunner runner({.jobs = jobs});

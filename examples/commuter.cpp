@@ -42,7 +42,7 @@ int main() {
     // tunnels outgoing traffic, because the home boundary's ingress spoof
     // filter (on by default) would drop home-sourced packets arriving raw
     // from outside.
-    world.create_foreign_agent({.reverse_tunnel = true});
+    world.create_foreign_agent({.reverse_tunnel = true, .overload = {}});
 
     MobileHostConfig mcfg = world.mobile_config();
     mcfg.privacy_mode = true;  // co-located cells use Out-IE: filter-proof

@@ -7,29 +7,43 @@
 
 namespace mip::sim {
 
+namespace {
+
+/// The six octets of @p mac as one integer: equal keys iff equal MACs.
+std::uint64_t mac_key(const MacAddress& mac) noexcept {
+    std::uint64_t key = 0;
+    for (const std::uint8_t octet : mac.octets()) key = key << 8 | octet;
+    return key;
+}
+
+}  // namespace
+
 Link::Link(Simulator& simulator, LinkConfig config)
     : simulator_(simulator), config_(std::move(config)), rng_(config_.seed) {}
 
 Link::~Link() {
-    for (Nic* nic : nics_) {
-        nic->link_ = nullptr;
+    for (const Station& station : stations_) {
+        station.nic->link_ = nullptr;
     }
 }
 
+bool Link::has(const Nic& nic) const {
+    return std::any_of(stations_.begin(), stations_.end(),
+                       [&nic](const Station& s) { return s.nic == &nic; });
+}
+
 void Link::attach(Nic& nic) {
-    if (std::find(nics_.begin(), nics_.end(), &nic) == nics_.end()) {
-        nics_.push_back(&nic);
+    if (!has(nic)) {
+        stations_.push_back({mac_key(nic.mac()), &nic});
     }
 }
 
 void Link::detach(Nic& nic) {
-    std::erase(nics_, &nic);
+    std::erase_if(stations_, [&nic](const Station& s) { return s.nic == &nic; });
 }
 
 bool Link::connects(const Nic& a, const Nic& b) const {
-    const bool has_a = std::find(nics_.begin(), nics_.end(), &a) != nics_.end();
-    const bool has_b = std::find(nics_.begin(), nics_.end(), &b) != nics_.end();
-    return has_a && has_b;
+    return has(a) && has(b);
 }
 
 Duration Link::transmission_delay(std::size_t bytes) const {
@@ -89,18 +103,6 @@ void Link::transmit(const Nic& sender, Frame frame) {
     busy_until_ = start + transmission_delay(frame.wire_size());
     const Duration delay = (busy_until_ - simulator_.now()) + config_.latency + fault_delay;
 
-    // Group-addressed frames (broadcast and multicast) reach every
-    // station; the IP layer filters multicast by joined groups. First find
-    // the last receiver so the original frame can be moved to it.
-    const auto receives = [&frame, &sender](const Nic* nic) {
-        if (nic == &sender) return false;
-        return frame.dst.is_group() || frame.dst == nic->mac() || nic->promiscuous();
-    };
-    const Nic* last_receiver = nullptr;
-    for (const Nic* nic : nics_) {
-        if (receives(nic)) last_receiver = nic;
-    }
-
     // Delivery happens at simulated arrival time; each receiver needs its
     // own copy of the frame because a NIC that detached (or moved to
     // another segment) while the frame was in flight must not receive it
@@ -110,16 +112,6 @@ void Link::transmit(const Nic& sender, Frame frame) {
     // steady-state traffic recycles instead of allocating; the final
     // receiver takes the original frame by move (the unicast common case
     // never copies at all).
-    const auto schedule_delivery = [this](Nic* nic, Duration after, Frame&& f) {
-        simulator_.schedule_in(after, [nic, this, f = std::move(f)]() mutable {
-            if (nic->link() == this) {
-                emit(TraceKind::FrameRx, nic, f);
-                nic->deliver(f);
-            }
-            simulator_.buffer_pool().release(std::move(f.payload));
-        },
-        "frame-delivery");
-    };
     const auto pooled_copy = [this](const Frame& f) {
         Frame c;
         c.dst = f.dst;
@@ -130,23 +122,62 @@ void Link::transmit(const Nic& sender, Frame frame) {
         c.payload.assign(f.payload.begin(), f.payload.end());
         return c;
     };
-
-    if (last_receiver == nullptr) {
-        simulator_.buffer_pool().release(std::move(frame.payload));
-        return;
-    }
     const Duration dup_delay = delay + transmission_delay(frame.wire_size());
-    for (Nic* nic : nics_) {
-        if (!receives(nic)) continue;
+    const auto deliver_to = [&](Nic* nic, bool last) {
         if (fault_duplicate) {
             // The duplicate trails the original by one serialization
             // time, as if the frame had been put on the wire twice
             // back-to-back.
             schedule_delivery(nic, dup_delay, pooled_copy(frame));
         }
-        schedule_delivery(nic, delay,
-                          nic == last_receiver ? std::move(frame) : pooled_copy(frame));
+        schedule_delivery(nic, delay, last ? std::move(frame) : pooled_copy(frame));
+    };
+
+    // Group-addressed frames (broadcast and multicast) reach every
+    // station; the IP layer filters multicast by joined groups. One pass
+    // in attach order: a receiver is scheduled once the next one is
+    // found, so the last one found takes the original frame.
+    const bool group = frame.dst.is_group();
+    const std::uint64_t dst = mac_key(frame.dst);
+    Nic* pending = nullptr;
+    for (const Station& station : stations_) {
+        if ((group || station.mac == dst) && station.nic != &sender) {
+            if (pending != nullptr) deliver_to(pending, false);
+            pending = station.nic;
+        }
     }
+    if (pending == nullptr) {
+        simulator_.buffer_pool().release(std::move(frame.payload));
+        return;
+    }
+    deliver_to(pending, true);
+}
+
+void Link::schedule_delivery(Nic* nic, Duration after, Frame&& frame) {
+    std::uint32_t slot;
+    if (free_in_flight_.empty()) {
+        slot = static_cast<std::uint32_t>(in_flight_.size());
+        in_flight_.push_back({nic, std::move(frame)});
+    } else {
+        slot = free_in_flight_.back();
+        free_in_flight_.pop_back();
+        in_flight_[slot] = {nic, std::move(frame)};
+    }
+    // Two words: std::function keeps the closure inline, no allocation.
+    simulator_.schedule_in(after, [this, slot] { arrive(slot); }, "frame-delivery");
+}
+
+void Link::arrive(std::uint32_t slot) {
+    // Moved out and freed first: the handler may transmit on this link,
+    // which can reuse the slot or grow the table under a reference.
+    Nic* const nic = in_flight_[slot].nic;
+    Frame frame = std::move(in_flight_[slot].frame);
+    free_in_flight_.push_back(slot);
+    if (nic->link() == this) {
+        emit(TraceKind::FrameRx, nic, frame);
+        nic->deliver(frame);
+    }
+    simulator_.buffer_pool().release(std::move(frame.payload));
 }
 
 }  // namespace mip::sim

@@ -4,6 +4,12 @@
 // Transmission delay = propagation latency + size/bandwidth. Random frame
 // loss uses a deterministic, per-link seeded PRNG so simulations are
 // reproducible.
+//
+// Per-frame cost: receivers are chosen in one pass over a contiguous
+// station table (MAC key + NIC pointer, in attach order) that never
+// dereferences a Nic, and each in-flight frame waits in a free-listed
+// table owned by the link, so the delivery event's closure is two words
+// and steady-state traffic makes no heap allocation per frame.
 #pragma once
 
 #include <cstdint>
@@ -51,6 +57,8 @@ struct LinkConfig {
     std::uint64_t seed = 1;
 };
 
+/// A Link must outlive its pending delivery events: each one names the
+/// link and a slot of its in-flight table.
 class Link {
 public:
     Link(Simulator& simulator, LinkConfig config);
@@ -84,28 +92,51 @@ public:
     LinkFault* fault() const noexcept { return fault_; }
 
     /// Registers/unregisters an endpoint. Nic::connect/disconnect call these.
+    /// Stations keep their attach order; a NIC that detaches and
+    /// re-attaches goes to the end.
     void attach(Nic& nic);
     void detach(Nic& nic);
 
     /// Puts @p frame on the wire. Unicast frames are delivered only to the
-    /// NIC owning the destination MAC; broadcast frames reach every other
-    /// attached NIC.
+    /// NIC owning the destination MAC; group-addressed frames reach every
+    /// other attached NIC. Receivers get their deliveries in attach order;
+    /// each gets its own copy, and the last one the original.
     void transmit(const Nic& sender, Frame frame);
 
-    std::size_t attached_count() const noexcept { return nics_.size(); }
+    std::size_t attached_count() const noexcept { return stations_.size(); }
 
     /// True if both NICs are currently attached to this segment — the test
     /// behind the paper's Row C ("Both Hosts on Same Network Segment").
     bool connects(const Nic& a, const Nic& b) const;
 
 private:
+    /// One attached NIC. The MAC is cached as an integer key (a Nic's MAC
+    /// never changes), so choosing receivers reads only this table.
+    struct Station {
+        std::uint64_t mac;
+        Nic* nic;
+    };
+    /// A frame on the wire, waiting for its delivery event.
+    struct InFlight {
+        Nic* nic;
+        Frame frame;
+    };
+
+    bool has(const Nic& nic) const;
     Duration transmission_delay(std::size_t bytes) const;
     void emit(TraceKind kind, const Nic* at, const Frame& frame,
               const TraceDetail& detail = {}) const;
+    /// Parks @p frame in the in-flight table and schedules its delivery
+    /// to @p nic @p after from now.
+    void schedule_delivery(Nic* nic, Duration after, Frame&& frame);
+    /// The delivery event of in-flight slot @p slot.
+    void arrive(std::uint32_t slot);
 
     Simulator& simulator_;
     LinkConfig config_;
-    std::vector<Nic*> nics_;
+    std::vector<Station> stations_;  ///< attach order
+    std::vector<InFlight> in_flight_;
+    std::vector<std::uint32_t> free_in_flight_;  ///< LIFO
     mutable std::mt19937_64 rng_;
     TraceRecorder* trace_ = nullptr;
     FrameTap tap_;

@@ -49,11 +49,6 @@ public:
     Node& owner() const noexcept { return owner_; }
     const std::string& name() const noexcept { return name_; }
 
-    /// Promiscuous NICs accept unicast frames for other MACs too (routers
-    /// do not need this; it exists for debugging and packet capture).
-    void set_promiscuous(bool on) noexcept { promiscuous_ = on; }
-    bool promiscuous() const noexcept { return promiscuous_; }
-
     /// Installs a raw-frame observer (see obs::PcapWriter): fires for every
     /// frame this NIC transmits onto a connected link and every frame it
     /// accepts — the view tcpdump would give on this interface. One tap per
@@ -69,7 +64,6 @@ private:
     Link* link_ = nullptr;
     FrameHandler handler_;
     FrameTap tap_;
-    bool promiscuous_ = false;
 };
 
 }  // namespace mip::sim

@@ -305,7 +305,8 @@ TEST(Motion, TraceEqualTimestampsJumpLandsOnLaterWaypoint) {
 
 TEST(Group, MemberNeverStraysBeyondCohesionRadius) {
     auto leader = std::make_shared<RandomWaypointMobility>(RandomWaypointMobility::Config{
-        .max_x = 2000, .max_y = 2000, .min_speed_mps = 5, .max_speed_mps = 20, .seed = 7});
+        .max_x = 2000, .max_y = 2000, .min_speed_mps = 5, .max_speed_mps = 20, .start = {},
+        .seed = 7});
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         GroupMemberMobility member(leader, {.max_radius_m = 50.0, .seed = seed});
         for (sim::TimePoint t = 0; t <= sim::seconds(600); t += sim::milliseconds(250)) {
@@ -318,7 +319,8 @@ TEST(Group, MemberNeverStraysBeyondCohesionRadius) {
 TEST(Group, SameSeedSameTrajectoryDifferentSeedDiffers) {
     const auto make_leader = [] {
         return std::make_shared<RandomWaypointMobility>(
-            RandomWaypointMobility::Config{.max_x = 1000, .max_y = 1000, .seed = 3});
+            RandomWaypointMobility::Config{
+                .max_x = 1000, .max_y = 1000, .start = {}, .seed = 3});
     };
     GroupMemberMobility a(make_leader(), {.seed = 11});
     GroupMemberMobility b(make_leader(), {.seed = 11});
@@ -336,7 +338,7 @@ TEST(Group, SharedLeaderUnaffectedByMemberQueryOrder) {
     // out of time order, must match querying them separately (the lazy
     // leader trajectory is a pure function of its seed).
     const auto leader = std::make_shared<RandomWaypointMobility>(
-        RandomWaypointMobility::Config{.max_x = 500, .max_y = 500, .seed = 9});
+        RandomWaypointMobility::Config{.max_x = 500, .max_y = 500, .start = {}, .seed = 9});
     GroupMemberMobility m1(leader, {.seed = 1});
     GroupMemberMobility m2(leader, {.seed = 2});
     std::vector<Position> interleaved;
@@ -345,7 +347,7 @@ TEST(Group, SharedLeaderUnaffectedByMemberQueryOrder) {
         interleaved.push_back(m2.position_at(sim::seconds(i * 3)));
     }
     const auto fresh_leader = std::make_shared<RandomWaypointMobility>(
-        RandomWaypointMobility::Config{.max_x = 500, .max_y = 500, .seed = 9});
+        RandomWaypointMobility::Config{.max_x = 500, .max_y = 500, .start = {}, .seed = 9});
     GroupMemberMobility f1(fresh_leader, {.seed = 1});
     GroupMemberMobility f2(fresh_leader, {.seed = 2});
     std::size_t k = 0;

@@ -72,7 +72,8 @@ TEST(HealthMonitorTest, OffUntilStartedAndStopDisarms) {
     sim::Simulator simulator;
     obs::MetricsRegistry reg;
     obs::HealthMonitor monitor(simulator, reg, {.interval = sim::milliseconds(100)});
-    monitor.add_watermark({.name = "wm", .node = "n", .layer = "l", .metric = "g"});
+    monitor.add_watermark(
+        {.name = "wm", .node = "n", .layer = "l", .metric = "g", .detail = {}});
 
     EXPECT_FALSE(monitor.running());
     simulator.schedule_in(sim::seconds(1), [] {});
@@ -103,7 +104,8 @@ TEST(HealthMonitorTest, WatermarkTripsAndClearsWithHysteresis) {
                            .layer = "mobileip",
                            .metric = "bindings",
                            .trip_at = 10.0,
-                           .clear_at = 4.0});
+                           .clear_at = 4.0,
+                           .detail = {}});
 
     monitor.evaluate_now();
     EXPECT_FALSE(monitor.tripped("binding-pressure"));
@@ -140,7 +142,7 @@ TEST(HealthMonitorTest, TripsCountInRegistryAndAuditAsDecisions) {
     obs::HealthMonitor monitor(simulator, reg);
     monitor.set_decision_log(&log);
     monitor.add_watermark(
-        {.name = "wm", .node = "n", .layer = "l", .metric = "g", .trip_at = 1.0});
+        {.name = "wm", .node = "n", .layer = "l", .metric = "g", .trip_at = 1.0, .detail = {}});
 
     simulator.schedule_in(sim::milliseconds(7), [] {});
     simulator.run();
@@ -186,7 +188,8 @@ TEST(HealthMonitorTest, RateSpikeTripsOnDeltaNotAbsoluteValue) {
                             .node = "mh",
                             .layer = "probe",
                             .metric = "failures",
-                            .min_rate = 3.0});
+                            .min_rate = 3.0,
+                            .detail = {}});
 
     failures.add(2);
     monitor.evaluate_now();  // delta 2 < 3: quiet
@@ -221,7 +224,8 @@ TEST(HealthMonitorTest, RateSpikeEwmaBaselineAbsorbsSteadyLoad) {
                             .min_rate = 8.0,
                             .spike_factor = 4.0,
                             .alpha = 0.5,
-                            .warmup_evals = 3});
+                            .warmup_evals = 3,
+                            .detail = {}});
 
     for (int i = 0; i < 6; ++i) {
         handoffs.add(10);  // steady 10/eval
@@ -250,7 +254,8 @@ TEST(HealthMonitorTest, RateSpikeWarmupSuppressesFirstSeenWholeValue) {
                             .layer = "l",
                             .metric = "c",
                             .min_rate = 50.0,
-                            .warmup_evals = 1});
+                            .warmup_evals = 1,
+                            .detail = {}});
     monitor.evaluate_now();  // first-seen delta = 1000, but still warming up
     EXPECT_FALSE(monitor.tripped("spike"));
     c.add(10);
@@ -269,7 +274,8 @@ TEST(HealthMonitorTest, QuantileSloGatesOnMinSamplesAndTrips) {
                               .quantile = 0.95,
                               .bound = 100.0,
                               .min_samples = 8,
-                              .unit = "ms"});
+                              .unit = "ms",
+                              .detail = {}});
 
     for (int i = 0; i < 7; ++i) monitor.observe("rtt-p95", 500.0);
     monitor.evaluate_now();
@@ -295,7 +301,8 @@ TEST(HealthMonitorTest, ResolvesMetricsCreatedAfterRulesWereAdded) {
                            .layer = "l",
                            .metric = "c",
                            .source = obs::MetricSource::Counter,
-                           .trip_at = 5.0});
+                           .trip_at = 5.0,
+                           .detail = {}});
 
     monitor.evaluate_now();  // metric does not exist yet: reads 0
     EXPECT_FALSE(monitor.tripped("late"));
@@ -314,9 +321,11 @@ TEST(HealthMonitorTest, TripsAreSequenceNumberedAcrossRules) {
 
     obs::HealthMonitor monitor(simulator, reg);
     monitor.add_watermark(
-        {.name = "first", .node = "n", .layer = "l", .metric = "a", .trip_at = 1.0});
+        {.name = "first", .node = "n", .layer = "l", .metric = "a", .trip_at = 1.0,
+         .detail = {}});
     monitor.add_watermark(
-        {.name = "second", .node = "n", .layer = "l", .metric = "b", .trip_at = 1.0});
+        {.name = "second", .node = "n", .layer = "l", .metric = "b", .trip_at = 1.0,
+         .detail = {}});
     a = b = 2.0;
     monitor.evaluate_now();
     ASSERT_EQ(monitor.trips(), 2u);
@@ -423,7 +432,8 @@ TEST_F(IncidentTest, TruncationIsExplicitWhenHistoryExceedsCaps) {
     double g = 0.0;
     registry_.register_gauge("mh", "l", "g", [&g] { return g; });
     monitor_.add_watermark(
-        {.name = "wm", .node = "mh", .layer = "l", .metric = "g", .trip_at = 1.0});
+        {.name = "wm", .node = "mh", .layer = "l", .metric = "g", .trip_at = 1.0,
+         .detail = {}});
 
     obs::IncidentRecorder recorder({.window = sim::seconds(10),
                                     .max_trace_events = 5,
@@ -469,7 +479,8 @@ TEST_F(IncidentTest, MaxBundlesBoundsRetentionAndCountsOverflow) {
                             .layer = "l",
                             .metric = "g",
                             .trip_at = 1.0,
-                            .clear_at = 1.0});
+                            .clear_at = 1.0,
+                            .detail = {}});
 
     obs::IncidentRecorder recorder({.max_bundles = 2});
     recorder.arm(monitor_, "b", "l");

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "sim/link.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
@@ -106,38 +110,183 @@ struct TestRig {
         nic_b.connect(link);
     }
 };
+
+/// A crowded shared segment: @p n single-NIC stations attached in index
+/// order. Every station logs the frames it accepts.
+struct Segment {
+    struct Arrival {
+        std::size_t station;
+        TimePoint at;
+        std::vector<std::uint8_t> payload;
+    };
+
+    Simulator sim;
+    Link link;
+    std::vector<std::unique_ptr<Node>> nodes;
+    std::vector<Nic*> nics;
+    std::vector<Arrival> arrivals;
+
+    explicit Segment(std::size_t n, LinkConfig cfg = {}) : link(sim, std::move(cfg)) {
+        for (std::size_t i = 0; i < n; ++i) {
+            nodes.push_back(std::make_unique<Node>(sim, "s" + std::to_string(i)));
+            nics.push_back(&nodes.back()->add_nic());
+            nics.back()->connect(link);
+            nics.back()->set_handler([this, i](const Frame& f) {
+                arrivals.push_back({i, sim.now(), f.payload});
+            });
+        }
+    }
+
+    void send(std::size_t from, MacAddress dst, std::vector<std::uint8_t> payload) {
+        Frame f;
+        f.dst = dst;
+        f.payload = std::move(payload);
+        nics[from]->send(std::move(f));
+    }
+
+    std::vector<std::size_t> receivers() const {
+        std::vector<std::size_t> out;
+        for (const Arrival& a : arrivals) out.push_back(a.station);
+        return out;
+    }
+};
+
+constexpr std::size_t kCrowd = 100;
+
+std::vector<std::uint8_t> bytes(std::size_t v) { return {static_cast<std::uint8_t>(v)}; }
+
+/// Duplicates every frame, changing nothing else.
+class DuplicateEveryFrame final : public LinkFault {
+public:
+    FaultVerdict on_transmit(Frame&, TimePoint) override { return {.duplicate = true}; }
+};
 }  // namespace
 
 TEST(Link, UnicastReachesOnlyAddressee) {
-    TestRig rig;
-    Node c(rig.sim, "c");
-    Nic& nic_c = c.add_nic();
-    nic_c.connect(rig.link);
+    Segment seg(kCrowd);
+    // Station 0 addresses every other station once, then every station
+    // answers station 0: each frame reaches its addressee and no one else.
+    for (std::size_t to = 1; to < kCrowd; ++to) {
+        seg.send(0, seg.nics[to]->mac(), bytes(to));
+    }
+    seg.sim.run();
+    ASSERT_EQ(seg.arrivals.size(), kCrowd - 1);
+    for (const Segment::Arrival& a : seg.arrivals) {
+        EXPECT_EQ(a.payload, bytes(a.station));
+    }
 
-    int b_got = 0, c_got = 0;
-    rig.nic_b.set_handler([&](const Frame&) { ++b_got; });
-    nic_c.set_handler([&](const Frame&) { ++c_got; });
-
-    Frame f;
-    f.dst = rig.nic_b.mac();
-    f.payload = {1, 2, 3};
-    rig.nic_a.send(std::move(f));
-    rig.sim.run();
-    EXPECT_EQ(b_got, 1);
-    EXPECT_EQ(c_got, 0);
+    seg.arrivals.clear();
+    for (std::size_t from = 1; from < kCrowd; ++from) {
+        seg.send(from, seg.nics[0]->mac(), bytes(from));
+    }
+    seg.sim.run();
+    ASSERT_EQ(seg.arrivals.size(), kCrowd - 1);
+    for (std::size_t i = 0; i < seg.arrivals.size(); ++i) {
+        EXPECT_EQ(seg.arrivals[i].station, 0u);
+        EXPECT_EQ(seg.arrivals[i].payload, bytes(i + 1));
+    }
 }
 
 TEST(Link, BroadcastReachesEveryoneExceptSender) {
-    TestRig rig;
-    int a_got = 0, b_got = 0;
-    rig.nic_a.set_handler([&](const Frame&) { ++a_got; });
-    rig.nic_b.set_handler([&](const Frame&) { ++b_got; });
-    Frame f;
-    f.dst = MacAddress::broadcast();
-    rig.nic_a.send(std::move(f));
-    rig.sim.run();
-    EXPECT_EQ(a_got, 0);
-    EXPECT_EQ(b_got, 1);
+    Segment seg(kCrowd);
+    constexpr std::size_t kSender = 3;
+    seg.send(kSender, MacAddress::broadcast(), bytes(7));
+    seg.sim.run();
+    // Everyone but the sender, once each, in attach order.
+    std::vector<std::size_t> expected;
+    for (std::size_t i = 0; i < kCrowd; ++i) {
+        if (i != kSender) expected.push_back(i);
+    }
+    EXPECT_EQ(seg.receivers(), expected);
+    for (const Segment::Arrival& a : seg.arrivals) {
+        EXPECT_EQ(a.payload, bytes(7));
+    }
+
+    // A station that detaches and re-attaches goes to the back of the
+    // attach order.
+    constexpr std::size_t kMover = 10;
+    seg.nics[kMover]->disconnect();
+    seg.nics[kMover]->connect(seg.link);
+    std::erase(expected, kMover);
+    expected.push_back(kMover);
+    seg.arrivals.clear();
+    seg.send(kSender, MacAddress::broadcast(), bytes(8));
+    seg.sim.run();
+    EXPECT_EQ(seg.receivers(), expected);
+}
+
+TEST(Link, DuplicateTrailsOriginalByOneSerializationTime) {
+    LinkConfig cfg;
+    cfg.latency = milliseconds(1);
+    cfg.bandwidth_bps = 8000.0;  // 1 byte per millisecond
+    Segment seg(5, cfg);
+    DuplicateEveryFrame dup;
+    seg.link.set_fault(&dup);
+    const std::vector<std::uint8_t> payload(86, 0x5a);  // 100 wire bytes: 100 ms
+
+    // Broadcast: every receiver gets the original at 101 ms, in attach
+    // order, then its duplicate at 201 ms, in the same order.
+    seg.send(0, MacAddress::broadcast(), payload);
+    seg.sim.run();
+    ASSERT_EQ(seg.arrivals.size(), 8u);
+    for (std::size_t i = 0; i < 8; ++i) {
+        EXPECT_EQ(seg.arrivals[i].station, 1 + i % 4);
+        EXPECT_EQ(seg.arrivals[i].at, milliseconds(i < 4 ? 101 : 201));
+        EXPECT_EQ(seg.arrivals[i].payload, payload);
+    }
+
+    // Unicast: the addressee's original is the moved frame, the
+    // duplicate a copy; both carry the same bytes.
+    seg.arrivals.clear();
+    const TimePoint sent = seg.sim.now();
+    seg.send(2, seg.nics[4]->mac(), payload);
+    seg.sim.run();
+    ASSERT_EQ(seg.arrivals.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_EQ(seg.arrivals[i].station, 4u);
+        EXPECT_EQ(seg.arrivals[i].at, sent + milliseconds(i == 0 ? 101 : 201));
+        EXPECT_EQ(seg.arrivals[i].payload, payload);
+    }
+}
+
+TEST(Link, HandlerMaySendOnItsOwnLinkMidDelivery) {
+    // Station 1 answers the first broadcast with a broadcast of its own
+    // from inside its delivery, while the other 98 copies still wait:
+    // the in-flight table grows under the delivery in progress. The frame
+    // that handler holds, and every copy still waiting, must stay intact.
+    Segment seg(kCrowd);
+    const std::vector<std::uint8_t> query{1, 2, 3, 4};
+    const std::vector<std::uint8_t> reply{9, 8, 7};
+    bool answered = false;
+    seg.nics[1]->set_handler([&](const Frame& f) {
+        seg.arrivals.push_back({1, seg.sim.now(), f.payload});
+        if (answered) return;
+        answered = true;
+        seg.send(1, MacAddress::broadcast(), reply);
+        EXPECT_EQ(f.payload, query);
+    });
+    seg.send(0, MacAddress::broadcast(), query);
+    seg.sim.run();
+
+    ASSERT_TRUE(answered);
+    std::size_t queries = 0, replies = 0;
+    std::vector<int> got(kCrowd, 0);
+    for (const Segment::Arrival& a : seg.arrivals) {
+        if (a.payload == query) {
+            ++queries;
+            EXPECT_NE(a.station, 0u);
+        } else {
+            ASSERT_EQ(a.payload, reply);
+            ++replies;
+            EXPECT_NE(a.station, 1u);
+        }
+        ++got[a.station];
+    }
+    EXPECT_EQ(queries, kCrowd - 1);
+    EXPECT_EQ(replies, kCrowd - 1);
+    EXPECT_EQ(got[0], 1);
+    EXPECT_EQ(got[1], 1);
+    for (std::size_t i = 2; i < kCrowd; ++i) EXPECT_EQ(got[i], 2) << "station " << i;
 }
 
 TEST(Link, DeliveryDelayIncludesLatencyAndSerialization) {
