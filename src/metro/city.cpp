@@ -113,10 +113,10 @@ sim::Duration CitySim::member_jitter(std::size_t host_index, std::uint32_t epoch
     return static_cast<sim::Duration>(m % 1'000'000);  // < 1 ms
 }
 
-void CitySim::sample_host(MetroHost* host) {
+void CitySim::sample_host(std::uint32_t index) {
+    MetroHost* host = pop_.hosts()[index];
     const sim::TimePoint now = sim_.now();
-    const mobility::Position p = host->model->position_at(now);
-    const MetroCell& cell = topo_.cell_at(p);
+    const MetroCell& cell = topo_.cell_at(host->model->position_at(now));
     if (static_cast<std::int32_t>(cell.index) != host->cell) {
         const std::int32_t old = host->cell;
         host->cell = static_cast<std::int32_t>(cell.index);
@@ -145,7 +145,29 @@ void CitySim::sample_host(MetroHost* host) {
         }
         begin_registration(host, /*renewal=*/false);
     }
-    sim_.schedule_in(config_.sample_interval, [this, host] { sample_host(host); },
+    // Look ahead while the model and the host's cell are hot: count the
+    // sample instants after now that still find the host in this cell.
+    // Models are pure functions of t, so answering early changes nothing.
+    std::uint32_t quiet = 0;
+    for (sim::TimePoint t = now + config_.sample_interval; t <= config_.duration;
+         t += config_.sample_interval) {
+        if (topo_.cell_at(host->model->position_at(t)).index != cell.index) break;
+        ++quiet;
+    }
+    schedule_sample(index, quiet);
+}
+
+void CitySim::schedule_sample(std::uint32_t index, std::uint32_t quiet) {
+    // A quiet event touches neither host nor model; the closure stays
+    // within std::function's 16-byte inline buffer.
+    sim_.schedule_in(config_.sample_interval,
+                     [this, index, quiet] {
+                         if (quiet > 0) {
+                             schedule_sample(index, quiet - 1);
+                         } else {
+                             sample_host(index);
+                         }
+                     },
                      "city-sample");
 }
 
@@ -431,7 +453,11 @@ void CitySim::run() {
         const sim::Duration stagger = static_cast<sim::Duration>(
             sim::mix64(config_.population.seed ^ kStaggerTag ^ host->index) %
             static_cast<std::uint64_t>(config_.sample_interval));
-        sim_.schedule_at(stagger, [this, host] { sample_host(host); }, "city-sample");
+        sim_.schedule_at(stagger,
+                         [this, index = static_cast<std::uint32_t>(host->index)] {
+                             sample_host(index);
+                         },
+                         "city-sample");
     }
     if (config_.probes_per_sweep > 0 && config_.probe_interval > 0) {
         sim_.schedule_at(config_.probe_interval, [this] { probe_sweep(0); },

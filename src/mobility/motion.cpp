@@ -86,13 +86,14 @@ void RandomWaypointMobility::extend_until(sim::TimePoint t) {
 Position RandomWaypointMobility::position_at(sim::TimePoint t) {
     if (t < 0) t = 0;
     extend_until(t);
-    if (hint_ >= legs_.size() || legs_[hint_].depart > t) {
-        hint_ = 0;  // non-monotone query: rescan from the beginning
-    }
-    while (legs_[hint_].pause_until <= t && hint_ + 1 < legs_.size()) {
-        ++hint_;
-    }
-    const Leg& leg = legs_[hint_];
+    // Legs are contiguous (each departs at the previous pause_until), so
+    // the leg covering t is the first one still running or pausing at t.
+    // extend_until guarantees the last leg qualifies. Binary search keeps
+    // out-of-order queries (flock members sampling one leader from
+    // different instants) at O(log legs).
+    const Leg& leg = *std::upper_bound(
+        legs_.begin(), legs_.end(), t,
+        [](sim::TimePoint when, const Leg& l) { return when < l.pause_until; });
     if (t >= leg.arrive) return leg.to;  // pausing at the waypoint
     if (t <= leg.depart) return leg.from;
     const double f = static_cast<double>(t - leg.depart) /

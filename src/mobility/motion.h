@@ -105,7 +105,6 @@ private:
     Config config_;
     std::mt19937_64 rng_;
     std::vector<Leg> legs_;
-    std::size_t hint_ = 0;  ///< leg index the previous query resolved to
 };
 
 }  // namespace mip::mobility

@@ -570,26 +570,29 @@ void IpStack::send_filter_feedback(const net::Packet& dropped) {
 }
 
 void IpStack::deliver_local(const net::Packet& packet, std::size_t in_interface) {
-    std::optional<net::Packet> complete = packet;
+    // Only a reassembled datagram needs storage of its own; a whole one is
+    // dispatched as received.
+    std::optional<net::Packet> reassembled;
     if (packet.header().is_fragment()) {
-        complete = reassembler_.add(packet, simulator_.now());
+        reassembled = reassembler_.add(packet, simulator_.now());
         reassembler_.expire(simulator_.now());
-        if (!complete) {
+        if (!reassembled) {
             return;  // waiting for more fragments
         }
         ++stats_.reassembled;
     }
+    const net::Packet& complete = reassembled ? *reassembled : packet;
     ++stats_.packets_delivered;
-    emit_trace(sim::TraceKind::PacketDelivered, &*complete,
+    emit_trace(sim::TraceKind::PacketDelivered, &complete,
                sim::TraceDetail::args(
                    sim::TraceDetailKind::Proto,
-                   static_cast<std::uint32_t>(complete->header().protocol)));
-    if (complete->header().dst.is_multicast() && multicast_observer_) {
-        multicast_observer_(*complete);
+                   static_cast<std::uint32_t>(complete.header().protocol)));
+    if (complete.header().dst.is_multicast() && multicast_observer_) {
+        multicast_observer_(complete);
     }
-    auto it = protocols_.find(complete->header().protocol);
+    auto it = protocols_.find(complete.header().protocol);
     if (it != protocols_.end()) {
-        it->second(*complete, in_interface);
+        it->second(complete, in_interface);
     }
 }
 

@@ -1,7 +1,8 @@
-// Exact allocation gate for the link layer's per-frame path: once a
+// Exact allocation gates for the per-frame and per-datagram paths: once a
 // segment has warmed up, putting a unicast frame on the wire, delivering
 // it and returning its payload to the buffer pool makes no heap
-// allocation at all.
+// allocation at all, and a UDP datagram sent across a LAN and delivered
+// to a socket makes a fixed, pinned number.
 //
 // This is its own test binary because it replaces the global operator
 // new (every form the program can reach) with a counting one.
@@ -14,9 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "net/ipv4_address.h"
 #include "sim/link.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
+#include "stack/host.h"
+#include "transport/udp_service.h"
 
 namespace {
 
@@ -108,4 +112,51 @@ TEST(LinkAlloc, UnicastFramesAcrossACrowdedSegmentAllocateNothing) {
     EXPECT_EQ(sim.buffer_pool().stats().acquires - sim.buffer_pool().stats().reuses,
               fresh_before)
         << "every payload must come back to the pool";
+}
+
+TEST(LinkAlloc, UdpDatagramsDeliveredLocallyAllocateAFixedCount) {
+    // Per datagram, after warm-up: the caller's payload vector, the
+    // sender's UDP serialization buffer and the packet the receiving
+    // stack builds from the frame. Local delivery dispatches that packet
+    // as received; copying it before dispatch would make a fourth.
+    constexpr std::size_t kDatagrams = 1000;
+    constexpr std::size_t kAllocationsPerDatagram = 3;
+
+    using namespace mip::net::literals;
+    Simulator sim;
+    Link lan(sim, {});
+    mip::stack::Host a(sim, "a");
+    mip::stack::Host b(sim, "b");
+    mip::transport::UdpService udp_a(a.stack());
+    mip::transport::UdpService udp_b(b.stack());
+    a.attach(lan, "10.0.0.1"_ip, "10.0.0.0/24"_net);
+    b.attach(lan, "10.0.0.2"_ip, "10.0.0.0/24"_net);
+
+    std::size_t received = 0;
+    std::size_t corrupted = 0;
+    auto server = udp_b.open(7777);
+    server->set_receiver([&](std::span<const std::uint8_t> data, const auto&) {
+        ++received;
+        if (data.size() != 32 || data[0] != 0x5a) ++corrupted;
+    });
+    auto client = udp_a.open();
+    const auto send_datagrams = [&] {
+        for (std::size_t n = 0; n < kDatagrams; ++n) {
+            client->send_to("10.0.0.2"_ip, 7777, std::vector<std::uint8_t>(32, 0x5a));
+            sim.run();
+        }
+    };
+
+    send_datagrams();  // warm-up: ARP, event slab, pool free list
+    received = 0;
+
+    allocations = 0;
+    counting = true;
+    send_datagrams();
+    counting = false;
+
+    EXPECT_EQ(allocations, kDatagrams * kAllocationsPerDatagram)
+        << "heap allocations over " << kDatagrams << " datagrams";
+    EXPECT_EQ(received, kDatagrams);
+    EXPECT_EQ(corrupted, 0u);
 }

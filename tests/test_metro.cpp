@@ -3,6 +3,7 @@
 // determinism and exported-document conformance.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -37,6 +38,16 @@ CityConfig small_city(std::uint64_t seed) {
     cfg.metrics_interval = sim::seconds(20);
     cfg.probes_per_sweep = 64;
     return cfg;
+}
+
+/// FNV-1a over a document: pins exported bytes in one constant.
+std::uint64_t fnv1a(const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : text) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
 }
 
 }  // namespace
@@ -216,6 +227,16 @@ TEST(CitySim, RunIsDeterministicAndPopulatesEveryPipeline) {
     EXPECT_EQ(a.snapshot_json("test", "x"), b.snapshot_json("test", "x"));
     EXPECT_EQ(a.decisions().size(), b.decisions().size());
 
+    // Pinned outputs: a change to the engine that shifts any event (the
+    // sample stagger, a registration delay, a probe draw) fails here even
+    // when it is deterministic.
+    EXPECT_EQ(a.events_fired(), 28'544u);
+    EXPECT_EQ(a.handoffs_total(), 1'320u);
+    EXPECT_EQ(a.registrations_total(), 2'046u);
+    EXPECT_EQ(a.probes_total(), 512u);
+    EXPECT_EQ(a.decisions().size(), 16u);
+    EXPECT_EQ(fnv1a(a.snapshot_json("test", "x")), 0x97495b1554e32e8bull);
+
     // Binding pressure is real: the home agents hold live entries.
     std::size_t bindings = 0;
     for (const auto& table : a.binding_tables()) bindings += table.size();
@@ -347,4 +368,12 @@ TEST(CityOverload, FlapRunIsDeterministic) {
     b.run();
     EXPECT_EQ(a.snapshot_json("test", "flap"), b.snapshot_json("test", "flap"));
     EXPECT_EQ(a.decisions().size(), b.decisions().size());
+
+    // Pinned outputs, as for the small city above.
+    EXPECT_EQ(a.events_fired(), 31'894u);
+    EXPECT_EQ(a.handoffs_total(), 1'080u);
+    EXPECT_EQ(a.registrations_total(), 1'908u);
+    EXPECT_EQ(a.probes_total(), 384u);
+    EXPECT_EQ(a.decisions().size(), 1'039u);
+    EXPECT_EQ(fnv1a(a.snapshot_json("test", "flap")), 0xb075671d62d18970ull);
 }

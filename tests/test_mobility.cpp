@@ -4,8 +4,11 @@
 // applications whenever they change location"), and dead-zone crossings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <tuple>
+#include <vector>
 
 #include "core/scenario.h"
 #include "mobility/coverage.h"
@@ -69,6 +72,39 @@ TEST(Motion, RandomWaypointStaysInBoundsAndSupportsRewind) {
     }
     // Non-monotone queries answer from the memoized trajectory.
     EXPECT_EQ(m.position_at(sim::seconds(2)), early);
+}
+
+TEST(Motion, RandomWaypointRandomOrderQueriesMatchInOrderAnswers) {
+    // 10,000 instants over ten minutes, half on a 1 ms grid (so some land
+    // exactly on leg boundaries) and half at arbitrary nanoseconds.
+    const RandomWaypointMobility::Config cfg{.max_x = 800,
+                                             .max_y = 800,
+                                             .min_speed_mps = 2.0,
+                                             .max_speed_mps = 15.0,
+                                             .pause = sim::seconds(5),
+                                             .start = {},
+                                             .seed = 11};
+    std::mt19937_64 rng(42);
+    std::uniform_int_distribution<sim::TimePoint> when(0, sim::seconds(600));
+    std::vector<sim::TimePoint> times(10'000);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        times[i] = i % 2 == 0 ? when(rng) / sim::milliseconds(1) * sim::milliseconds(1)
+                              : when(rng);
+    }
+
+    RandomWaypointMobility shuffled(cfg);
+    std::vector<Position> answers;
+    answers.reserve(times.size());
+    for (const sim::TimePoint t : times) answers.push_back(shuffled.position_at(t));
+
+    std::vector<std::size_t> order(times.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return times[a] < times[b]; });
+    RandomWaypointMobility in_order(cfg);
+    for (const std::size_t i : order) {
+        ASSERT_EQ(in_order.position_at(times[i]), answers[i]) << "at t=" << times[i];
+    }
 }
 
 // ---- coverage ---------------------------------------------------------------
