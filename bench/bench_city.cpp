@@ -20,7 +20,8 @@
 //                  the city-scale observability overhead, gated by
 //                  check_perf_trend.py. The sampler-on run's events/sec
 //                  is the single-core city figure the perf trendline
-//                  tracks.
+//                  tracks; its queue work (shifts per push, scans per
+//                  pop) is bounded by the same gate.
 //
 // Wall-clock numbers land in BENCH_perf.json next to bench_perf's
 // (merged, not overwritten); everything else the binary emits is
@@ -182,6 +183,7 @@ obs::JsonValue::Object measure_find_link(const bench::HarnessOptions& opt) {
 struct CityRun {
     std::uint64_t events = 0;
     double wall_ms = 0.0;
+    sim::QueueStats queue;
 };
 
 CityRun run_city_once(const CityParams& p) {
@@ -189,7 +191,8 @@ CityRun run_city_once(const CityParams& p) {
     const auto t0 = std::chrono::steady_clock::now();
     city.run();
     const auto t1 = std::chrono::steady_clock::now();
-    return {city.events_fired(), std::chrono::duration<double, std::milli>(t1 - t0).count()};
+    return {city.events_fired(), std::chrono::duration<double, std::milli>(t1 - t0).count(),
+            city.simulator().queue_stats()};
 }
 
 /// ISSUE 7 / PR 8: the city-scale observability overhead — the same
@@ -198,9 +201,11 @@ CityRun run_city_once(const CityParams& p) {
 /// check_perf_trend.py gates. (CitySim has no per-packet trace recorder
 /// — its observability cost is the sampler plus the arena-backed
 /// decision log, which is exactly what this isolates.) The sampler-on
-/// leg's median also yields @p events_per_sec.
+/// leg's median also yields @p events_per_sec, and its (deterministic)
+/// queue work @p queue.
 obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
-                                             const CityParams& p, double& events_per_sec) {
+                                             const CityParams& p, double& events_per_sec,
+                                             sim::QueueStats& queue) {
     const int reps = opt.pick(3, 2);
     CityParams off = p;
     off.metrics_interval = 0;  // sampler never constructed
@@ -216,6 +221,7 @@ obs::JsonValue::Object measure_observability(const bench::HarnessOptions& opt,
         off_walls.push_back(run_city_once(off).wall_ms);
         const CityRun on = run_city_once(p);
         events = on.events;
+        queue = on.queue;
         on_walls.push_back(on.wall_ms);
     }
     const auto median = [](std::vector<double>& walls) {
@@ -281,7 +287,8 @@ int print_figure(const bench::HarnessOptions& opt) {
     // Sections 3 and 4.
     obs::JsonValue::Object find_link = measure_find_link(opt);
     double events_per_sec = 0.0;
-    obs::JsonValue::Object observability = measure_observability(opt, p, events_per_sec);
+    sim::QueueStats queue;
+    obs::JsonValue::Object observability = measure_observability(opt, p, events_per_sec, queue);
 
     obs::JsonValue::Object city;
     city["smoke"] = opt.smoke;
@@ -292,6 +299,9 @@ int print_figure(const bench::HarnessOptions& opt) {
     city["events"] = events_total;
     city["sweep_wall_ms"] = serial.wall_ms;
     city["events_per_sec"] = events_per_sec;
+    // Seed 1's queue work: check_perf_trend.py bounds it like a scenario's.
+    city["shifts_per_push"] = queue.shifts_per_push();
+    city["scans_per_pop"] = queue.scans_per_pop();
     city["deliverability_min"] = deliv_min;
     city["storm_trips"] = storm_trips_total;
     city["artifacts_identical"] = sweep.identical;

@@ -31,9 +31,11 @@ Rules:
     (baseline, fault_attached, instrumented and the overhead legs)
     must keep the event queue's shifts_per_push and scans_per_pop
     within QUEUE_WORK_BOUNDS and the datapath's
-    pool_acquires_per_datagram within DATAPATH_WORK_BOUNDS. The
-    counters are deterministic, so these bounds bind on smoke documents
-    too; rows without the fields (older documents) are not checked.
+    pool_acquires_per_datagram within DATAPATH_WORK_BOUNDS; bench_city's
+    "city" block (its seed-1 run) must keep its queue work within
+    QUEUE_WORK_BOUNDS too. The counters are deterministic, so these
+    bounds bind on smoke documents too; rows without the fields (older
+    documents) are not checked.
 
 Exit status: 0 = no regression (or vacuous), 1 = regression or budget
 exceeded, 2 = usage.
@@ -81,19 +83,21 @@ def check_work_counters(fresh):
     Returns a list of violation strings (empty = within bounds). Applies
     to smoke and full documents alike: the counters are deterministic.
     """
-    violations = []
+    checks = []  # (label, run object, bounds)
     for sc in fresh.get("scenarios", []):
         name = "scenario:" + sc.get("name", "?")
         runs = [(leg, sc.get(leg)) for leg in WORK_RUNS]
         overhead = sc.get("overhead") or {}
         runs += [("overhead." + leg, overhead.get(leg)) for leg in WORK_OVERHEAD_RUNS]
-        for leg, run in runs:
-            for field, bound in WORK_BOUNDS.items():
-                if run and field in run and run[field] > bound:
-                    violations.append(
-                        f"{name}.{leg}: {field} {run[field]:.2f} exceeds "
-                        f"bound {bound:.2f}"
-                    )
+        checks += [(f"{name}.{leg}", run, WORK_BOUNDS) for leg, run in runs]
+    checks.append(("city", fresh.get("city"), QUEUE_WORK_BOUNDS))
+    violations = []
+    for label, run, bounds in checks:
+        for field, bound in bounds.items():
+            if run and field in run and run[field] > bound:
+                violations.append(
+                    f"{label}: {field} {run[field]:.2f} exceeds bound {bound:.2f}"
+                )
     return violations
 
 

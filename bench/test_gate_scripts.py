@@ -221,6 +221,20 @@ class PerfTrendTest(unittest.TestCase):
         self.assertIn("pool_acquires_per_datagram", out)
         self.assertIn("scenario:basic.baseline", out)
 
+    def test_city_queue_work_is_bounded(self):
+        # bench_city's seed-1 run: within the bounds passes, past either
+        # one fails, smoke document or not.
+        fresh = perf_doc(smoke=True)
+        fresh["city"].update(check_perf_trend.QUEUE_WORK_BOUNDS)
+        code, _, _ = self.check(perf_doc(smoke=True), fresh)
+        self.assertEqual(code, 0)
+        for field, bound in check_perf_trend.QUEUE_WORK_BOUNDS.items():
+            fresh = perf_doc(smoke=True)
+            fresh["city"][field] = bound + 0.01
+            code, out, _ = self.check(perf_doc(smoke=True), fresh)
+            self.assertEqual(code, 1, field)
+            self.assertIn(f"city: {field}", out)
+
     def test_queue_work_checked_on_overhead_legs(self):
         fresh = perf_doc(smoke=True)
         fresh["scenarios"][0]["overhead"] = {"traced": {"shifts_per_push": 100.0}}

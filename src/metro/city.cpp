@@ -145,30 +145,16 @@ void CitySim::sample_host(std::uint32_t index) {
         }
         begin_registration(host, /*renewal=*/false);
     }
-    // Look ahead while the model and the host's cell are hot: count the
-    // sample instants after now that still find the host in this cell.
-    // Models are pure functions of t, so answering early changes nothing.
-    std::uint32_t quiet = 0;
-    for (sim::TimePoint t = now + config_.sample_interval; t <= config_.duration;
-         t += config_.sample_interval) {
-        if (topo_.cell_at(host->model->position_at(t)).index != cell.index) break;
-        ++quiet;
+    // Look ahead while the model and the host's cell are hot: the next
+    // sample that can change anything is the first later instant that
+    // finds the host in another cell. Models are pure functions of t, so
+    // answering early changes nothing (DESIGN.md §11).
+    sim::TimePoint next = now + config_.sample_interval;
+    while (next <= config_.duration &&
+           topo_.cell_at(host->model->position_at(next)).index == cell.index) {
+        next += config_.sample_interval;
     }
-    schedule_sample(index, quiet);
-}
-
-void CitySim::schedule_sample(std::uint32_t index, std::uint32_t quiet) {
-    // A quiet event touches neither host nor model; the closure stays
-    // within std::function's 16-byte inline buffer.
-    sim_.schedule_in(config_.sample_interval,
-                     [this, index, quiet] {
-                         if (quiet > 0) {
-                             schedule_sample(index, quiet - 1);
-                         } else {
-                             sample_host(index);
-                         }
-                     },
-                     "city-sample");
+    sim_.schedule_at(next, [this, index] { sample_host(index); }, "city-sample");
 }
 
 sim::Duration CitySim::one_way_latency(const MetroHost* host, bool observe) {

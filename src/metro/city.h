@@ -25,12 +25,11 @@
 // agent GC, and probe sweeps. Everything is a pure function of the
 // config, so runs are byte-reproducible at any SweepRunner --jobs.
 //
-// A full sample also evaluates the host's motion model at the following
-// sample instants, up to the first that finds a new cell; the events for
-// the instants in between only schedule the next one. Each event is still
-// scheduled at the same simulated time and in the same order as if every
-// sample were full, so every (when, seq) key, and with it the dispatch
-// order, is unchanged (DESIGN.md §11).
+// A sample also evaluates the host's motion model at the following
+// sample instants and schedules the next sample event at the first that
+// finds a new cell: the instants in between, where nothing could change,
+// get no event, so every sample event is a first attach or a handoff.
+// DESIGN.md §11 gives the ordering argument for equal-time ties.
 #pragma once
 
 #include <cstdint>
@@ -192,12 +191,9 @@ private:
         obs::Counter* expired = nullptr;
     };
 
-    /// Full sample of host @p index: hands off if its cell changed, then
-    /// looks ahead and schedules the next sample event.
+    /// Samples host @p index: hands off if its cell changed, then looks
+    /// ahead and schedules its next sample at its next cell change.
     void sample_host(std::uint32_t index);
-    /// Schedules the next sample event of host @p index; the first
-    /// @p quiet events only keep the cadence.
-    void schedule_sample(std::uint32_t index, std::uint32_t quiet);
     void begin_registration(MetroHost* host, bool renewal);
     void finish_registration(MetroHost* host, std::uint32_t epoch,
                              std::int32_t cell, bool renewal);

@@ -91,18 +91,24 @@ bool CalendarQueue::pop_if(TimePoint limit, EventKey& out) {
                 b.head = 0;
             }
             --count_;
+            ++pops_since_rebuild_;
             if (count_ > 0 && count_ * 4 < buckets_.size() && buckets_.size() > kMinBuckets) {
                 rebuild(buckets_.size() / 2);
             }
             return true;
         }
         ++stats_.scans;
+        ++scans_since_rebuild_;
         cur_ = (cur_ + 1) & mask_;
         cur_top_ += width_;
-        if (++scanned >= buckets_.size()) {
-            // A whole year scanned dry: the days are too narrow for what
-            // is pending now. Re-estimate them from the new head, which
-            // also aims the scan at the earliest key.
+        if (++scanned >= buckets_.size() ||
+            (scans_since_rebuild_ > buckets_.size() &&
+             scans_since_rebuild_ > 2 * pops_since_rebuild_)) {
+            // A whole year scanned dry, or more than a year's worth of
+            // scans at over two per pop since the days were last sized:
+            // they are too narrow for what is pending now. Re-estimate
+            // them from the new head, which also aims the scan at the
+            // earliest key.
             rebuild(buckets_.size());
             scanned = 0;
         }
@@ -111,6 +117,8 @@ bool CalendarQueue::pop_if(TimePoint limit, EventKey& out) {
 
 void CalendarQueue::rebuild(std::size_t nbuckets) {
     ++stats_.rebuilds;
+    scans_since_rebuild_ = 0;
+    pops_since_rebuild_ = 0;
     std::vector<EventKey> all;
     all.reserve(count_);
     for (const Bucket& b : buckets_) {

@@ -21,8 +21,10 @@
 // Brown's rule on the ~25 keys nearest the head of the queue (3x the
 // trimmed mean gap between their distinct instants; ties are left out),
 // so a few distant timers cannot stretch the days the dense near-term
-// traffic lives in. A whole year scanned dry means the width is too
-// small for what is pending now, and re-estimates it from the new head.
+// traffic lives in. A whole year scanned dry, or more than a year's
+// worth of scan steps at over two per pop since the last rebuild, means
+// the width is too small for what is pending now, and re-estimates it
+// from the new head.
 //
 // A bad width costs speed, never order: each bucket is kept sorted, and
 // the year guard (`when < cur_top_`) defers a far-future key that hashes
@@ -144,6 +146,8 @@ private:
     std::size_t count_ = 0;
     std::size_t cur_ = 0;        ///< bucket the scan is parked on
     TimePoint cur_top_ = 0;      ///< end of cur_'s active one-day window
+    std::uint64_t scans_since_rebuild_ = 0;  ///< scan steps since the last rebuild
+    std::uint64_t pops_since_rebuild_ = 0;   ///< pops since the last rebuild
     QueueStats stats_;
 };
 

@@ -571,16 +571,13 @@ TEST(CalendarQueue, InterleavedPushPopStaysOrdered) {
 #include <queue>
 #include <tuple>
 
+#include "queue_bounds.h"
+
 namespace {
 
-// Work bounds for the adversarial cases below (measured at most 2.4 shifts
-// and 0.5 scans). A day width taken from the whole population's span put
-// the near-term keys of these cases into one bucket, costing thousands of
-// shifts per push; one that counted tied keys in Brown's rule shrank to
-// 1 ns behind same-instant bursts, costing up to 22 scans per pop on the
-// scenario-shaped mix.
-constexpr double kMaxShiftsPerPush = 4.0;
-constexpr double kMaxScansPerPop = 1.5;
+// The queue's work bounds (queue_bounds.h) hold on every case below.
+using mip::sim::test::kMaxScansPerPop;
+using mip::sim::test::kMaxShiftsPerPush;
 
 double per(std::uint64_t work, std::size_t ops) {
     return static_cast<double>(work) / static_cast<double>(ops);
@@ -632,6 +629,17 @@ enum class Mix {
     /// bursts, 1-300 s lifetimes, and a 200 ms RTO timer cancelled and
     /// re-armed on each dispatch.
     Scenario,
+    /// A city's sampling: 500 host timers at staggered phases, each
+    /// dispatch re-arming its host 1-60 sample intervals ahead, no
+    /// cancels. The head thins as the timers spread out, so the day sized
+    /// at setup ends up ~30x narrower than the gaps, though short of a
+    /// whole year.
+    City,
+    /// 1,000 timers ~100 ns apart, each dispatch re-arming one, and now
+    /// and then a broadcast: 25-100 events at the dispatch's own instant.
+    /// A resize while a broadcast is the head sizes the day at the 1 ns
+    /// floor, and the timers' gaps are short of a year.
+    TiedHead,
 };
 
 /// One random interleaving of schedule, dispatch and cancel (stale
@@ -684,10 +692,26 @@ void check_against_oracle(Mix mix, std::uint64_t seed) {
                 schedule(now + seconds(1) + static_cast<Duration>(rng() % seconds(299)));
         }
     };
+    constexpr Duration kSampleInterval = seconds(2);
+    constexpr std::uint64_t kHosts = 500;
+    constexpr std::uint64_t kTimers = 1000;
+    constexpr Duration kTimerSpan = microseconds(100);
+    if (mix == Mix::City) {
+        for (std::uint64_t h = 0; h < kHosts; ++h) {
+            schedule(static_cast<Duration>(rng() % static_cast<std::uint64_t>(kSampleInterval)));
+        }
+    } else if (mix == Mix::TiedHead) {
+        for (std::uint64_t t = 0; t < kTimers; ++t) {
+            schedule(static_cast<Duration>(rng() % static_cast<std::uint64_t>(kTimerSpan)));
+        }
+    }
     std::uint64_t rto = 0;
     bool rto_armed = false;
     for (int step = 0; step < 6000; ++step) {
-        const std::uint64_t op = rng() % 10;
+        // The timer mixes dispatch instead of pushing; the city never
+        // cancels either.
+        std::uint64_t op = rng() % 10;
+        if ((mix == Mix::City) || (mix == Mix::TiedHead && op < 5)) op = 9;
         if (op < 5 || oracle.heap.empty()) {
             if (mix == Mix::Random) {
                 schedule(s.now() + random_delay());
@@ -712,6 +736,15 @@ void check_against_oracle(Mix mix, std::uint64_t seed) {
                 if (rto_armed) cancel(rto);
                 rto = schedule(s.now() + milliseconds(200));
                 rto_armed = true;
+            } else if (mix == Mix::City) {
+                schedule(s.now() + kSampleInterval * static_cast<Duration>(1 + rng() % 60));
+            } else if (mix == Mix::TiedHead) {
+                // Each dispatch re-arms a timer; now and then one is a
+                // broadcast, its receivers all due at this instant.
+                schedule(s.now() + static_cast<Duration>(rng() % kTimerSpan));
+                if (rng() % 200 == 0) {
+                    for (int n = 25 + static_cast<int>(rng() % 76); n > 0; --n) schedule(s.now());
+                }
             }
         }
         ASSERT_EQ(s.pending_events(), oracle.heap.size());
@@ -801,10 +834,10 @@ TEST(CalendarQueue, SameInstantBurstStaysCheap) {
 }
 
 TEST(Simulator, RandomPushPopCancelMatchesOracle) {
-    for (const Mix mix : {Mix::Random, Mix::Scenario}) {
+    for (const Mix mix : {Mix::Random, Mix::Scenario, Mix::City, Mix::TiedHead}) {
         for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-            SCOPED_TRACE(testing::Message() << "seed " << seed << " scenario mix "
-                                            << (mix == Mix::Scenario));
+            SCOPED_TRACE(testing::Message() << "seed " << seed << " mix "
+                                            << static_cast<int>(mix));
             check_against_oracle(mix, seed);
             if (HasFatalFailure()) return;
         }
