@@ -1,6 +1,7 @@
 #include "metro/city.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -19,7 +20,54 @@ constexpr std::uint64_t kFlapTag = 0x464C4150ull;     // "FLAP"
 
 /// Recovery poll cadence after an agent flap.
 constexpr sim::Duration kRecoveryPoll = sim::milliseconds(250);
+
+/// Widens a motion segment's disk before the look-ahead trusts it: far
+/// above position rounding at city scale (about 1e-12 m) and far below
+/// any cell, so it decides nothing but rounding.
+constexpr double kSkipMargin = 1e-3;  // meters
+
+/// Narrows @p last to the last instant at which a point at @p pos at
+/// instant @p at, moving at @p v m/ns along one axis, stays more than
+/// @p r inside (lo, hi). It is inside at @p at.
+sim::TimePoint inside_until(double pos, double v, double r, double lo, double hi,
+                            sim::TimePoint at, sim::TimePoint last) {
+    if (v == 0) return last;
+    // Nanoseconds until the disk touches the side it moves toward; +inf
+    // toward a border cell's outer side. Compared before it is converted.
+    const double room = v > 0 ? (hi - r - pos) / v : (lo + r - pos) / v;
+    if (!(room < static_cast<double>(last - at))) return last;
+    return at + static_cast<sim::TimePoint>(std::ceil(std::max(room, 0.0))) - 1;
+}
 }  // namespace
+
+CellChange next_cell_change(const MetroTopology& topo, mobility::MobilityModel& model,
+                            std::size_t cell, sim::TimePoint next, sim::Duration interval,
+                            sim::TimePoint horizon) {
+    const CellBounds box = topo.cell_bounds(cell);
+    while (next <= horizon) {
+        // Skip every instant the segment proves inside: its disk stays
+        // strictly inside the cell until `last`, and the model stays
+        // within the disk until seg.until.
+        const mobility::Segment seg = model.segment_at(next);
+        const double r = seg.radius + kSkipMargin;
+        const mobility::Position p = seg.at(next);
+        if (p.x - r > box.min_x && p.x + r < box.max_x && p.y - r > box.min_y &&
+            p.y + r < box.max_y) {
+            sim::TimePoint last = std::min(seg.until, horizon) - 1;
+            last = inside_until(p.x, seg.vx, r, box.min_x, box.max_x, next, last);
+            last = inside_until(p.y, seg.vy, r, box.min_y, box.max_y, next, last);
+            if (last >= next) {
+                next += ((last - next) / interval + 1) * interval;
+                continue;
+            }
+        }
+        // Not proven: evaluate this instant, and step one interval.
+        const std::size_t found = topo.cell_at(model.position_at(next)).index;
+        if (found != cell) return {next, static_cast<std::int32_t>(found)};
+        next += interval;
+    }
+    return {next, -1};
+}
 
 CitySim::CitySim(CityConfig config)
     : config_(config),
@@ -113,10 +161,11 @@ sim::Duration CitySim::member_jitter(std::size_t host_index, std::uint32_t epoch
     return static_cast<sim::Duration>(m % 1'000'000);  // < 1 ms
 }
 
-void CitySim::sample_host(std::uint32_t index) {
+void CitySim::sample_host(std::uint32_t index, std::int32_t found) {
     MetroHost* host = pop_.hosts()[index];
     const sim::TimePoint now = sim_.now();
-    const MetroCell& cell = topo_.cell_at(host->model->position_at(now));
+    const MetroCell& cell = found >= 0 ? topo_.cells()[static_cast<std::size_t>(found)]
+                                       : topo_.cell_at(host->model->position_at(now));
     if (static_cast<std::int32_t>(cell.index) != host->cell) {
         const std::int32_t old = host->cell;
         host->cell = static_cast<std::int32_t>(cell.index);
@@ -149,12 +198,11 @@ void CitySim::sample_host(std::uint32_t index) {
     // sample that can change anything is the first later instant that
     // finds the host in another cell. Models are pure functions of t, so
     // answering early changes nothing (DESIGN.md §11).
-    sim::TimePoint next = now + config_.sample_interval;
-    while (next <= config_.duration &&
-           topo_.cell_at(host->model->position_at(next)).index == cell.index) {
-        next += config_.sample_interval;
-    }
-    sim_.schedule_at(next, [this, index] { sample_host(index); }, "city-sample");
+    const CellChange change =
+        next_cell_change(topo_, *host->model, cell.index, now + config_.sample_interval,
+                         config_.sample_interval, config_.duration);
+    sim_.schedule_at(change.at, [this, index, found = change.cell] { sample_host(index, found); },
+                     "city-sample");
 }
 
 sim::Duration CitySim::one_way_latency(const MetroHost* host, bool observe) {
@@ -171,34 +219,39 @@ sim::Duration CitySim::one_way_latency(const MetroHost* host, bool observe) {
 
 void CitySim::begin_registration(MetroHost* host, bool renewal) {
     ++host->epoch;  // any in-flight completion for an older epoch is now stale
+    host->renewing = renewal;
     if (config_.overload.enabled) {
         send_request(host, renewal,
                      clients_[host->index].start(core::RegistrationClient::Exchange::Refresh));
         return;
     }
-    const std::uint32_t epoch = host->epoch;
-    const std::int32_t cell = host->cell;
+    // Sixteen bytes of capture fit std::function's inline buffer, so the
+    // event allocates nothing; finish_registration reads the rest from
+    // the host.
     sim_.schedule_in(one_way_latency(host, /*observe=*/true),
-                     [this, host, epoch, cell, renewal] {
-                         finish_registration(host, epoch, cell, renewal);
-                     },
+                     [this, index = static_cast<std::uint32_t>(host->index),
+                      epoch = host->epoch] { finish_registration(index, epoch); },
                      "registration");
 }
 
-void CitySim::finish_registration(MetroHost* host, std::uint32_t epoch,
-                                  std::int32_t cell, bool renewal) {
+void CitySim::finish_registration(std::uint32_t index, std::uint32_t epoch) {
+    MetroHost* host = pop_.hosts()[index];
     if (host->epoch != epoch) return;  // superseded by a later handoff
+    // Every handoff bumps the epoch, so host->cell is still the cell the
+    // host registered from, and host->renewing still says which kind of
+    // registration this was.
     const sim::TimePoint expires = sim_.now() + config_.registration_lifetime;
     tables_[host->home_agent].set(host->home_address,
-                                  topo_.cells()[static_cast<std::size_t>(cell)].care_of,
+                                  topo_.cells()[static_cast<std::size_t>(host->cell)].care_of,
                                   expires);
     host->binding_expires = expires;
     AgentStats& as = agents_[host->home_agent];
-    (renewal ? *as.renewals : *as.registrations).add();
+    (host->renewing ? *as.renewals : *as.registrations).add();
     ++registrations_total_;
     sim_.schedule_in(config_.registration_lifetime / 5 * 4,
-                     [this, host, epoch] {
-                         if (host->epoch == epoch) begin_registration(host, /*renewal=*/true);
+                     [this, index, epoch] {
+                         MetroHost* current = pop_.hosts()[index];
+                         if (current->epoch == epoch) begin_registration(current, /*renewal=*/true);
                      },
                      "reg-renewal");
 }
@@ -441,7 +494,7 @@ void CitySim::run() {
             static_cast<std::uint64_t>(config_.sample_interval));
         sim_.schedule_at(stagger,
                          [this, index = static_cast<std::uint32_t>(host->index)] {
-                             sample_host(index);
+                             sample_host(index, /*found=*/-1);
                          },
                          "city-sample");
     }

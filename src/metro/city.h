@@ -25,11 +25,14 @@
 // agent GC, and probe sweeps. Everything is a pure function of the
 // config, so runs are byte-reproducible at any SweepRunner --jobs.
 //
-// A sample also evaluates the host's motion model at the following
-// sample instants and schedules the next sample event at the first that
-// finds a new cell: the instants in between, where nothing could change,
-// get no event, so every sample event is a first attach or a handoff.
-// DESIGN.md §11 gives the ordering argument for equal-time ties.
+// A sample also looks ahead over the following sample instants and
+// schedules the next sample event at the first that finds a new cell,
+// handing it the cell found there: the instants in between, where
+// nothing could change, get no event, so every sample event is a first
+// attach or a handoff. The look-ahead (next_cell_change) skips every
+// instant that the model's current motion segment proves inside the
+// cell and evaluates the model only at the rest. DESIGN.md §11 gives
+// the soundness argument and the ordering argument for equal-time ties.
 #pragma once
 
 #include <cstdint>
@@ -87,6 +90,26 @@ struct CityOverloadConfig {
     /// Shed-rate floor for the flapped agent's spike monitor.
     double shed_rate_floor = 4.0;
 };
+
+/// The first sample instant at which a host is found in another cell.
+struct CellChange {
+    /// That instant, or the first sample instant past the horizon when
+    /// the host stays in its cell until then.
+    sim::TimePoint at = 0;
+    /// The cell found at `at`; -1 when `at` is past the horizon.
+    std::int32_t cell = -1;
+};
+
+/// Looks ahead over the sample instants next, next + interval, ... up to
+/// @p horizon for the first at which @p model is outside cell @p cell.
+/// An instant that model.segment_at proves inside the cell — the
+/// segment's disk, widened by a millimetre, strictly inside
+/// topo.cell_bounds(cell) — is skipped without evaluating the model;
+/// every other instant is evaluated. The answer is the one a walk that
+/// evaluates every instant would give.
+CellChange next_cell_change(const MetroTopology& topo, mobility::MobilityModel& model,
+                            std::size_t cell, sim::TimePoint next, sim::Duration interval,
+                            sim::TimePoint horizon);
 
 struct CityConfig {
     MetroConfig metro;
@@ -193,10 +216,11 @@ private:
 
     /// Samples host @p index: hands off if its cell changed, then looks
     /// ahead and schedules its next sample at its next cell change.
-    void sample_host(std::uint32_t index);
+    /// @p found is the cell the look-ahead found for this instant, or -1
+    /// (first sample) to evaluate the model here.
+    void sample_host(std::uint32_t index, std::int32_t found);
     void begin_registration(MetroHost* host, bool renewal);
-    void finish_registration(MetroHost* host, std::uint32_t epoch,
-                             std::int32_t cell, bool renewal);
+    void finish_registration(std::uint32_t index, std::uint32_t epoch);
     void probe_sweep(std::uint64_t sweep_index);
     sim::Duration member_jitter(std::size_t host_index, std::uint32_t epoch) const;
     /// Hop-proportional one-way latency between @p host's current cell

@@ -69,6 +69,7 @@ struct MetroHost {
     std::int32_t cell = -1;                ///< current cell, -1 before first sample
     sim::TimePoint binding_expires = 0;    ///< host's view of its registration
     std::uint32_t epoch = 0;               ///< guards stale in-flight registrations
+    bool renewing = false;                 ///< the latest registration is a renewal
 };
 
 class Population {

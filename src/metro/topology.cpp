@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 namespace mip::metro {
@@ -70,6 +71,18 @@ const MetroCell& MetroTopology::cell_at(mobility::Position p) const noexcept {
     const long ix = clamp_axis(p.x, config_.cell_size_m, config_.cells_x);
     const long iy = clamp_axis(p.y, config_.cell_size_m, config_.cells_y);
     return cells_[static_cast<std::size_t>(iy) * config_.cells_x + ix];
+}
+
+CellBounds MetroTopology::cell_bounds(std::size_t index) const noexcept {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const auto cols = static_cast<std::size_t>(config_.cells_x);
+    const int ix = static_cast<int>(index % cols);
+    const int iy = static_cast<int>(index / cols);
+    const double size = config_.cell_size_m;
+    return {.min_x = ix == 0 ? -kInf : ix * size,
+            .min_y = iy == 0 ? -kInf : iy * size,
+            .max_x = ix + 1 == config_.cells_x ? kInf : (ix + 1) * size,
+            .max_y = iy + 1 == config_.cells_y ? kInf : (iy + 1) * size};
 }
 
 int MetroTopology::hop_count(std::size_t from_cell, std::size_t to_cell) const noexcept {

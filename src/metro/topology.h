@@ -60,6 +60,14 @@ struct MetroRegional {
     std::size_t backbone = 0;        ///< index into backbones()
 };
 
+/// The region cell_at maps to one cell: [min_x, max_x) × [min_y, max_y).
+/// Border cells extend to ±infinity on their outer sides, because
+/// cell_at clamps positions outside the grid to the nearest edge cell.
+struct CellBounds {
+    double min_x = 0, min_y = 0;
+    double max_x = 0, max_y = 0;
+};
+
 struct MetroBackbone {
     std::size_t index = 0;
     std::string name;                ///< "backbone-0"
@@ -83,6 +91,9 @@ public:
     /// radio associates with the closest base station; there are no dead
     /// zones at city scale, only weak edges).
     const MetroCell& cell_at(mobility::Position p) const noexcept;
+
+    /// The region cell_at maps to cell @p index (see CellBounds).
+    CellBounds cell_bounds(std::size_t index) const noexcept;
 
     /// Link-level hops a registration travels from a host in @p from_cell
     /// to a home agent reached via @p to_cell: up to the lowest common

@@ -52,4 +52,14 @@ Position GroupMemberMobility::position_at(sim::TimePoint t) {
             lead.y + anchor_y_ + wander_r_ * std::sin(phase)};
 }
 
+Segment GroupMemberMobility::segment_at(sim::TimePoint t) {
+    // The member orbits its anchor point at exactly wander_r_, so the
+    // leader's line moved by the anchor, widened by the wander, holds it.
+    Segment seg = leader_->segment_at(t);
+    seg.origin.x += anchor_x_;
+    seg.origin.y += anchor_y_;
+    seg.radius += wander_r_;
+    return seg;
+}
+
 }  // namespace mip::mobility

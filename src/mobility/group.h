@@ -50,6 +50,9 @@ public:
     GroupMemberMobility(std::shared_ptr<MobilityModel> leader, Config config);
 
     Position position_at(sim::TimePoint t) override;
+    /// The leader's segment moved by the anchor offset, its radius
+    /// widened by the wander amplitude.
+    Segment segment_at(sim::TimePoint t) override;
 
     const Config& config() const noexcept { return config_; }
     MobilityModel& leader() noexcept { return *leader_; }

@@ -26,12 +26,40 @@ struct Position {
 /// Euclidean distance in meters.
 double distance(Position a, Position b);
 
+/// The straight-line piece of a trajectory around an instant, with a
+/// bound on everything that is not linear. segment_at(t) promises
+///
+///     |position_at(s) - line(s)| <= radius   (plus rounding)
+///
+/// for every s in [t, until), where line(s) = origin + v * (s - t0) and
+/// t0 <= t. A waypoint leg or a pause has radius 0; a group member's
+/// wander around its anchor is the radius of its leader's segment plus
+/// the wander amplitude. The city look-ahead uses it to prove that a
+/// run of sample instants stays inside one cell without evaluating
+/// the model at any of them (DESIGN.md §11).
+struct Segment {
+    Position origin;          ///< the line's point at t0
+    double vx = 0, vy = 0;    ///< meters per nanosecond
+    sim::TimePoint t0 = 0;
+    sim::TimePoint until = 0; ///< first instant the promise no longer covers
+    double radius = 0;        ///< meters
+
+    /// The line's point at @p t.
+    Position at(sim::TimePoint t) const noexcept {
+        const double dt = static_cast<double>(t - t0);
+        return {origin.x + vx * dt, origin.y + vy * dt};
+    }
+};
+
 class MobilityModel {
 public:
     virtual ~MobilityModel() = default;
     /// Position at absolute simulated time @p t. Queries may arrive in any
     /// order; the answer for a given t never changes.
     virtual Position position_at(sim::TimePoint t) = 0;
+    /// The segment of the trajectory that covers @p t (see Segment). Like
+    /// position_at, a pure function of t.
+    virtual Segment segment_at(sim::TimePoint t) = 0;
 };
 
 /// Constant-velocity straight-line motion from a starting point.
@@ -41,6 +69,8 @@ public:
         : start_(start), vx_(vx_mps), vy_(vy_mps) {}
 
     Position position_at(sim::TimePoint t) override;
+    /// One segment, valid forever.
+    Segment segment_at(sim::TimePoint t) override;
 
 private:
     Position start_;
@@ -64,6 +94,9 @@ public:
     explicit TraceMobility(std::vector<Waypoint> waypoints);
 
     Position position_at(sim::TimePoint t) override;
+    /// The waypoint pair around @p t; stationary before the first
+    /// waypoint and after the last.
+    Segment segment_at(sim::TimePoint t) override;
 
 private:
     std::vector<Waypoint> waypoints_;
@@ -90,6 +123,9 @@ public:
     explicit RandomWaypointMobility(Config config);
 
     Position position_at(sim::TimePoint t) override;
+    /// The moving leg over [depart, arrive), or the pause at its
+    /// waypoint over [arrive, pause_until).
+    Segment segment_at(sim::TimePoint t) override;
 
 private:
     struct Leg {
@@ -101,6 +137,8 @@ private:
 
     /// Draws legs from the PRNG until the memoized trajectory covers @p t.
     void extend_until(sim::TimePoint t);
+    /// The leg running or pausing at @p t >= 0 (extends the trajectory).
+    const Leg& leg_at(sim::TimePoint t);
 
     Config config_;
     std::mt19937_64 rng_;

@@ -5,14 +5,17 @@
 
 #include <cstdint>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "metro/arena.h"
 #include "metro/city.h"
 #include "metro/population.h"
 #include "metro/topology.h"
 #include "mobility/group.h"
+#include "mobility/motion.h"
 #include "obs/decision.h"
 #include "obs/metrics.h"
 #include "queue_bounds.h"
@@ -395,4 +398,132 @@ TEST(CitySim, EverySampleFindsANewCellAndTheQueueStaysCheap) {
         EXPECT_LE(stats.shifts_per_push(), sim::test::kMaxShiftsPerPush);
         EXPECT_LE(stats.scans_per_pop(), sim::test::kMaxScansPerPop);
     }
+}
+
+// ---- sample look-ahead ------------------------------------------------------
+
+namespace {
+
+/// The walk next_cell_change replaces: evaluate every sample instant.
+CellChange walk_every_instant(const MetroTopology& topo, mobility::MobilityModel& model,
+                              std::size_t cell, sim::TimePoint next, sim::Duration interval,
+                              sim::TimePoint horizon) {
+    for (; next <= horizon; next += interval) {
+        const std::size_t found = topo.cell_at(model.position_at(next)).index;
+        if (found != cell) return {next, static_cast<std::int32_t>(found)};
+    }
+    return {next, -1};
+}
+
+/// Compares the look-ahead with the walk from sample instant @p now, the
+/// way CitySim::sample_host calls it; counts the case.
+void expect_walk(const MetroTopology& topo, mobility::MobilityModel& model, sim::TimePoint now,
+                 sim::Duration interval, sim::TimePoint horizon, std::size_t& cases) {
+    const std::size_t cell = topo.cell_at(model.position_at(now)).index;
+    const CellChange fast = next_cell_change(topo, model, cell, now + interval, interval, horizon);
+    const CellChange walk =
+        walk_every_instant(topo, model, cell, now + interval, interval, horizon);
+    ++cases;
+    ASSERT_EQ(fast.at, walk.at) << "from t=" << now << " in cell " << cell << " to " << horizon;
+    ASSERT_EQ(fast.cell, walk.cell) << "from t=" << now << " in cell " << cell;
+}
+
+/// A flock member parked on a stationary leader.
+mobility::GroupMemberMobility parked_member(mobility::Position at, double radius,
+                                            sim::Duration period, std::uint64_t seed) {
+    return mobility::GroupMemberMobility(
+        std::make_shared<mobility::LinearMobility>(at, 0.0, 0.0),
+        {.max_radius_m = radius, .anchor_fraction = 0.0, .wander_period = period, .seed = seed});
+}
+
+}  // namespace
+
+TEST(CityLookAhead, MatchesTheWalkOverEveryInstant) {
+    // The benchmark's full geometry (12x12 cells of 500 m) and its smoke
+    // geometry (6x6 of 400 m); every host kind, from random sample
+    // instants, with horizons that end anywhere inside a segment.
+    std::size_t cases = 0;
+    std::mt19937_64 rng(2024);
+    for (const auto& [side, size] : {std::pair{12, 500.0}, std::pair{6, 400.0}}) {
+        SCOPED_TRACE(testing::Message() << side << "x" << side << " cells of " << size << " m");
+        MetroConfig mc;
+        mc.cells_x = mc.cells_y = side;
+        mc.cell_size_m = size;
+        const MetroTopology topo(mc);
+        const double w = topo.width_m();
+        const sim::Duration interval = sim::seconds(2);
+        std::uniform_int_distribution<sim::TimePoint> start(0, sim::seconds(400));
+        std::uniform_int_distribution<sim::TimePoint> span(0, sim::seconds(200));
+
+        // Solo walkers, commuter flocks and transit riders, as the city
+        // builds them.
+        Population pop(topo, {.hosts = 1000, .seed = 7, .metro_lines = 2});
+        for (MetroHost* host : pop.hosts()) {
+            for (int k = 0; k < 10; ++k) {
+                const sim::TimePoint now = start(rng);
+                expect_walk(topo, *host->model, now, interval, now + span(rng), cases);
+            }
+        }
+
+        // Linear movers across every border cell, outward past the grid
+        // (where cell_at clamps) and along the border.
+        const auto outward = [n = side](int i) { return i == 0 ? -1.0 : i + 1 == n ? 1.0 : 0.0; };
+        for (const MetroCell& cell : topo.cells()) {
+            const double out_x = outward(static_cast<int>(cell.index) % side);
+            const double out_y = outward(static_cast<int>(cell.index) / side);
+            if (out_x == 0 && out_y == 0) continue;  // an interior cell
+            for (const auto& [vx, vy] : {std::pair{out_x * 14.0, out_y * 14.0},
+                                         std::pair{out_y * 9.0, out_x * 9.0},
+                                         std::pair{-out_x * 3.0, -out_y * 3.0}}) {
+                mobility::LinearMobility mover(cell.center, vx, vy);
+                for (int k = 0; k < 6; ++k) {
+                    const sim::TimePoint now = start(rng) / 4;
+                    expect_walk(topo, mover, now, interval, now + span(rng), cases);
+                }
+            }
+        }
+
+        // Corner clips: straight lines that pass within a few metres of
+        // an interior corner, at both diagonals.
+        for (int k = 0; k < 400; ++k) {
+            const double cx = size * static_cast<double>(1 + k % (side - 1));
+            const double cy = size * static_cast<double>(1 + (k / 3) % (side - 1));
+            const double miss = std::uniform_real_distribution<double>(-6.0, 6.0)(rng);
+            const double speed = std::uniform_real_distribution<double>(1.0, 18.0)(rng);
+            const double sx = (k % 2 == 0) ? 1.0 : -1.0;
+            const mobility::Position from{cx - sx * 30.0 * speed, cy - 30.0 * speed + miss};
+            mobility::LinearMobility mover(from, sx * speed, speed);
+            expect_walk(topo, mover, sim::seconds(k % 5), interval,
+                        sim::seconds(60) + span(rng) / 4, cases);
+        }
+
+        // A parked member whose wander crosses a boundary and comes back
+        // within one wander period, shorter than, equal to and longer
+        // than the sample interval.
+        for (int k = 0; k < 300; ++k) {
+            const double edge = size * static_cast<double>(1 + k % (side - 1));
+            const double inset = std::uniform_real_distribution<double>(1.0, 40.0)(rng);
+            const sim::Duration period = k % 3 == 0   ? sim::milliseconds(1500)
+                                         : k % 3 == 1 ? sim::seconds(2)
+                                                      : sim::seconds(9);
+            auto member = parked_member({edge - inset, size * 0.5 + 37.0}, 45.0, period,
+                                        static_cast<std::uint64_t>(k + 1));
+            const sim::TimePoint now = start(rng);
+            expect_walk(topo, member, now, interval, now + span(rng), cases);
+        }
+
+        // A pause exactly on a boundary: a trace that stops on a cell
+        // edge, waits, and moves on.
+        for (int k = 0; k < 200; ++k) {
+            const double edge = size * static_cast<double>(1 + k % (side - 1));
+            const sim::TimePoint arrive = sim::seconds(20 + k % 7);
+            mobility::TraceMobility trace({{0, {edge - 150.0, size * 1.5}},
+                                           {arrive, {edge, size * 1.5}},
+                                           {arrive + sim::seconds(30), {edge, size * 1.5}},
+                                           {arrive + sim::seconds(60), {edge, w - 1.0}}});
+            const sim::TimePoint now = start(rng) / 8;
+            expect_walk(topo, trace, now, interval, now + span(rng), cases);
+        }
+    }
+    EXPECT_GE(cases, 20'000u);
 }

@@ -401,3 +401,95 @@ TEST(Group, RejectsBadConfig) {
                  std::invalid_argument);
     EXPECT_THROW(GroupMemberMobility(leader, {.wander_period = 0}), std::invalid_argument);
 }
+
+// ---- motion segments --------------------------------------------------------
+
+namespace {
+
+/// segment_at's contract at 10,000 random instants in [lo, hi] plus
+/// @p edges: t0 <= t < until, and position_at lies within radius (plus
+/// rounding) of the segment's line at t and at a later instant the
+/// segment still covers.
+void expect_segment_contract(MobilityModel& model, sim::TimePoint lo, sim::TimePoint hi,
+                             const std::vector<sim::TimePoint>& edges = {}) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(hi - lo));
+    std::uniform_int_distribution<sim::TimePoint> when(lo, hi);
+    std::vector<sim::TimePoint> instants = edges;
+    for (int i = 0; i < 10'000; ++i) instants.push_back(when(rng));
+    for (const sim::TimePoint t : instants) {
+        const Segment seg = model.segment_at(t);
+        ASSERT_LE(seg.t0, t);
+        ASSERT_LT(t, seg.until);
+        ASSERT_LE(distance(model.position_at(t), seg.at(t)), seg.radius + 1e-6)
+            << "at t=" << t;
+        const sim::TimePoint end = std::min(seg.until - 1, hi);
+        if (end <= t) continue;
+        const sim::TimePoint later = std::uniform_int_distribution<sim::TimePoint>(t, end)(rng);
+        ASSERT_LE(distance(model.position_at(later), seg.at(later)), seg.radius + 1e-6)
+            << "segment from t=" << t << " broken at t=" << later;
+    }
+}
+
+std::vector<TraceMobility::Waypoint> jumpy_trace() {
+    // Holds before 100 s, jumps at 200 s (two waypoints at one instant),
+    // pauses, and holds after 500 s.
+    return {{sim::seconds(100), {250, 250}},
+            {sim::seconds(200), {1400, 250}},
+            {sim::seconds(200), {1400, 1700}},
+            {sim::seconds(260), {1400, 1700}},
+            {sim::seconds(500), {100, 900}}};
+}
+
+std::vector<sim::TimePoint> around_waypoints(const std::vector<TraceMobility::Waypoint>& wps) {
+    std::vector<sim::TimePoint> edges;
+    for (const auto& w : wps) {
+        for (const sim::TimePoint d : {-1, 0, 1}) edges.push_back(w.at + d);
+    }
+    return edges;
+}
+
+}  // namespace
+
+TEST(Segment, LinearIsOneSegmentForever) {
+    LinearMobility m({10, 20}, 3.5, -2.25);
+    expect_segment_contract(m, 0, sim::seconds(3600));
+    EXPECT_EQ(m.segment_at(sim::seconds(7)).radius, 0.0);
+}
+
+TEST(Segment, TraceCoversHoldsJumpsAndPauses) {
+    TraceMobility m(jumpy_trace());
+    expect_segment_contract(m, 0, sim::seconds(700), around_waypoints(jumpy_trace()));
+    // Stationary before the first waypoint, up to and including it.
+    const Segment before = m.segment_at(sim::seconds(30));
+    EXPECT_EQ(before.vx, 0.0);
+    EXPECT_EQ(before.until, sim::seconds(100) + 1);
+    // The jump: from its instant on, the segment starts at the later waypoint.
+    EXPECT_EQ(m.segment_at(sim::seconds(200)).origin, (Position{1400, 1700}));
+}
+
+TEST(Segment, RandomWaypointLegsAndPauses) {
+    for (const sim::Duration pause : {sim::seconds(0), sim::seconds(5)}) {
+        SCOPED_TRACE(testing::Message() << "pause " << pause);
+        RandomWaypointMobility m({.max_x = 2000, .max_y = 2000, .min_speed_mps = 1,
+                                  .max_speed_mps = 15, .pause = pause, .start = {}, .seed = 5});
+        expect_segment_contract(m, -sim::seconds(5), sim::seconds(1800));
+    }
+}
+
+TEST(Segment, GroupMemberWidensItsLeadersSegment) {
+    auto walker = std::make_shared<RandomWaypointMobility>(RandomWaypointMobility::Config{
+        .max_x = 3000, .max_y = 3000, .min_speed_mps = 1, .max_speed_mps = 15,
+        .pause = sim::seconds(5), .start = {}, .seed = 21});
+    auto line = std::make_shared<TraceMobility>(jumpy_trace());
+    for (const std::shared_ptr<MobilityModel>& leader :
+         {std::shared_ptr<MobilityModel>(walker), std::shared_ptr<MobilityModel>(line)}) {
+        for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+            GroupMemberMobility member(leader, {.max_radius_m = 120.0,
+                                                .wander_period = sim::seconds(7),
+                                                .seed = seed});
+            expect_segment_contract(member, 0, sim::seconds(900),
+                                    around_waypoints(jumpy_trace()));
+            EXPECT_LE(member.segment_at(sim::seconds(50)).radius, 120.0);
+        }
+    }
+}
